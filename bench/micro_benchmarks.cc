@@ -74,8 +74,9 @@ void BM_Crc32(benchmark::State& state) {
     benchmark::DoNotOptimize(Crc32(data));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(Crc32KernelName());
 }
-BENCHMARK(BM_Crc32)->Arg(1472)->Arg(8192);
+BENCHMARK(BM_Crc32)->Arg(1472)->Arg(4096)->Arg(8192)->Arg(65536);
 
 void BM_MessageEncode(benchmark::State& state) {
   Message m;
@@ -214,6 +215,7 @@ BENCHMARK(BM_PipelinedUdpRead)
     ->Args({8, 0})
     ->Args({1, 2})
     ->Args({4, 2})
+    ->UseRealTime()  // the client thread mostly waits on the reactors
     ->Unit(benchmark::kMillisecond);
 
 // Copy-path probe: one 4 MiB striped read over clean UDP, reporting how many

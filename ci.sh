@@ -51,6 +51,24 @@ awk -v r="${RATIO}" 'BEGIN { exit !(r <= 2.5) }' \
 echo "bytes_copied_ratio ${RATIO} (<= 2.5)"
 rm -f "${COPY_JSON}"
 
+# CRC-32 kernel gate: every striped byte pays several CRC passes (wire
+# encode/decode, at-rest seal/verify), so the kernel caps the data path.
+# The dispatched kernel must sustain >= 1000 MB/s on 8 KiB payloads. The
+# byte-at-a-time loop it replaced ran ~380 MB/s and portable slicing-by-8
+# alone ~1.7 GB/s, so a silent fall-back to a byte loop fails here.
+echo "== CRC-32 kernel gate (BM_Crc32/8192 >= 1000 MB/s) =="
+CRC_JSON="$(mktemp)"
+./build/bench/micro_benchmarks --benchmark_filter='BM_Crc32/8192$' \
+    --benchmark_min_time=0.2 --benchmark_format=json > "${CRC_JSON}"
+CRC_BPS="$(grep -o '"bytes_per_second": [0-9.e+-]*' "${CRC_JSON}" | head -1 | awk '{print $2}')"
+[ -n "${CRC_BPS}" ] || { echo "FAIL: no bytes_per_second in BM_Crc32 output"; cat "${CRC_JSON}"; exit 1; }
+CRC_MBPS="$(awk -v b="${CRC_BPS}" 'BEGIN { printf "%.0f", b / 1e6 }')"
+CRC_KERNEL="$(grep -o '"label": "[a-z0-9]*"' "${CRC_JSON}" | head -1 | cut -d'"' -f4)"
+awk -v m="${CRC_MBPS}" 'BEGIN { exit !(m >= 1000) }' \
+  || { echo "FAIL: BM_Crc32/8192 ${CRC_MBPS} MB/s (${CRC_KERNEL}) < 1000 (byte-loop fall-back?)"; exit 1; }
+echo "BM_Crc32/8192 ${CRC_MBPS} MB/s (${CRC_KERNEL}, >= 1000)"
+rm -f "${CRC_JSON}"
+
 # Bench trajectory gate: re-run the scale-out matrix and diff it against the
 # committed trajectory point. Two failure modes: (a) any throughput key falls
 # more than 15% below the committed value (a real regression; run-to-run

@@ -81,7 +81,7 @@ Result<IntegrityBackingStore::Sidecar> IntegrityBackingStore::SealFromContents(
 }
 
 Status IntegrityBackingStore::PersistSidecar(const std::string& object_name,
-                                             const Sidecar& sidecar) {
+                                             Sidecar& sidecar) {
   WireWriter w(8 + 4 * sidecar.crcs.size());
   w.PutU32(kSidecarMagic);
   w.PutU32(static_cast<uint32_t>(block_size_));
@@ -90,9 +90,30 @@ Status IntegrityBackingStore::PersistSidecar(const std::string& object_name,
   }
   const std::vector<uint8_t> bytes = w.Take();
   const std::string sidecar_name = SidecarName(object_name);
+  sidecar.synced = false;
   SWIFT_RETURN_IF_ERROR(inner_->Ensure(sidecar_name));
   SWIFT_RETURN_IF_ERROR(inner_->WriteAt(sidecar_name, 0, bytes));
-  return inner_->Truncate(sidecar_name, bytes.size());
+  SWIFT_RETURN_IF_ERROR(inner_->Truncate(sidecar_name, bytes.size()));
+  sidecar.synced = true;
+  return OkStatus();
+}
+
+Status IntegrityBackingStore::PersistSeals(const std::string& object_name, Sidecar& sidecar,
+                                           uint64_t first, uint64_t last) {
+  if (sidecar.synced) {
+    WireWriter w(4 * (last - first + 1));
+    for (uint64_t b = first; b <= last; ++b) {
+      w.PutU32(sidecar.crcs[b]);
+    }
+    const Status status = inner_->WriteAt(SidecarName(object_name), 8 + 4 * first, w.buffer());
+    if (status.code() != StatusCode::kNotFound) {
+      sidecar.synced = status.ok();
+      return status;
+    }
+    // The stored sidecar was removed underneath the cache (a wiped agent
+    // store being rebuilt): recreate it whole.
+  }
+  return PersistSidecar(object_name, sidecar);
 }
 
 Result<IntegrityBackingStore::Sidecar*> IntegrityBackingStore::LoadSidecar(
@@ -145,6 +166,8 @@ Result<IntegrityBackingStore::Sidecar*> IntegrityBackingStore::LoadSidecar(
   }
   if (dirty) {
     SWIFT_RETURN_IF_ERROR(PersistSidecar(object_name, sidecar));
+  } else {
+    sidecar.synced = true;  // parsed from the stored bytes as they stand
   }
   auto [inserted, unused] = cache_.emplace(object_name, std::move(sidecar));
   return &inserted->second;
@@ -264,7 +287,6 @@ Status IntegrityBackingStore::WriteAt(const std::string& object_name, uint64_t o
   // back from the store, so faults injected below this layer (bit flips,
   // torn writes) stay detectable on the next read.
   std::vector<uint32_t> fresh(b_last - b0 + 1);
-  const std::vector<uint8_t> zeros(bs, 0);
   for (uint64_t b = b0; b <= b_last; ++b) {
     const uint64_t begin = b * bs;
     const uint64_t stop = std::min((b + 1) * bs, new_size);
@@ -276,10 +298,7 @@ Status IntegrityBackingStore::WriteAt(const std::string& object_name, uint64_t o
     }
     if (pos < offset) {  // the implicit zero hole of a past-EOF write
       const uint64_t zeros_end = std::min(offset, stop);
-      for (uint64_t z = pos; z < zeros_end; z += bs) {
-        crc = Crc32Update(
-            crc, std::span<const uint8_t>(zeros.data(), std::min(bs, zeros_end - z)));
-      }
+      crc = Crc32Update(crc, BufferSlice::ZeroPage(zeros_end - pos).span());
       pos = zeros_end;
     }
     if (pos < stop && pos < end) {
@@ -302,7 +321,7 @@ Status IntegrityBackingStore::WriteAt(const std::string& object_name, uint64_t o
   }
   std::copy(fresh.begin(), fresh.end(), sidecar->crcs.begin() + b0);
   Metrics().seals->Increment(fresh.size());
-  return PersistSidecar(object_name, *sidecar);
+  return PersistSeals(object_name, *sidecar, b0, b_last);
 }
 
 Result<uint64_t> IntegrityBackingStore::Size(const std::string& object_name) {
@@ -338,8 +357,7 @@ Status IntegrityBackingStore::Truncate(const std::string& object_name, uint64_t 
     uint32_t crc = Crc32Init();
     crc = Crc32Update(crc, std::span<const uint8_t>(old_block.data(), kept));
     if (new_stop - begin > kept) {  // extension pads the block with zeros
-      const std::vector<uint8_t> zeros(new_stop - begin - kept, 0);
-      crc = Crc32Update(crc, zeros);
+      crc = Crc32Update(crc, BufferSlice::ZeroPage(new_stop - begin - kept).span());
     }
     boundary_crc = Crc32Final(crc);
     have_boundary = true;
@@ -352,10 +370,8 @@ Status IntegrityBackingStore::Truncate(const std::string& object_name, uint64_t 
     sidecar->crcs[bb] = boundary_crc;
   }
   // Extension past the old last block appends all-zero blocks.
-  const std::vector<uint8_t> zeros(bs, 0);
   for (uint64_t b = old_nblocks; b < nblocks; ++b) {
-    const uint64_t len = std::min(bs, size - b * bs);
-    sidecar->crcs[b] = Crc32(std::span<const uint8_t>(zeros.data(), len));
+    sidecar->crcs[b] = Crc32(BufferSlice::ZeroPage(std::min(bs, size - b * bs)).span());
   }
   return PersistSidecar(object_name, *sidecar);
 }

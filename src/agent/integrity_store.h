@@ -74,13 +74,22 @@ class IntegrityBackingStore : public BackingStore {
   // Cached, authoritative copy of one object's sidecar.
   struct Sidecar {
     std::vector<uint32_t> crcs;
+    // False after a failed persist: the stored sidecar may lag the cache,
+    // so the next persist rewrites it whole.
+    bool synced = false;
   };
 
   // Loads (or trust-on-first-use seals) the sidecar for `object_name`.
   // Requires mutex_ held.
   Result<Sidecar*> LoadSidecar(const std::string& object_name);
-  // Writes the cached sidecar back through the inner store. Requires mutex_.
-  Status PersistSidecar(const std::string& object_name, const Sidecar& sidecar);
+  // Writes the whole cached sidecar back through the inner store. Requires
+  // mutex_.
+  Status PersistSidecar(const std::string& object_name, Sidecar& sidecar);
+  // Writes only seals [first, last] — the bytes [8 + 4*first, 8 + 4*(last+1))
+  // of the stored sidecar. Falls back to PersistSidecar when the stored copy
+  // is missing or out of sync. Requires mutex_.
+  Status PersistSeals(const std::string& object_name, Sidecar& sidecar, uint64_t first,
+                      uint64_t last);
   // Recomputes every block CRC from the inner store's current contents.
   // Requires mutex_.
   Result<Sidecar> SealFromContents(const std::string& object_name);

@@ -217,7 +217,8 @@ class UdpTransport::Reactor {
           span_.node = TraceNodeId();
           span_.request_id = request_id_;
           span_.sampled = parent.sampled();
-          span_.start_ns = FlightRecorder::NowNs();
+          const uint64_t queued_ns = CurrentOpQueuedNs();
+          span_.start_ns = queued_ns != 0 ? queued_ns : FlightRecorder::NowNs();
           trace_flags_ = parent.flags;
         }
       }

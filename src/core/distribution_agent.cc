@@ -127,10 +127,12 @@ void DistributionAgent::OnOpDone(uint32_t column) {
 void DistributionAgent::Submit(uint32_t column, AsyncOp op) {
   SWIFT_CHECK(column < columns_.size()) << "column " << column << " out of range";
   // The op runs on a pool worker; carry the submitter's trace context across
-  // so the transport op it starts joins the submitting request's trace.
+  // so the transport op it starts joins the submitting request's trace, and
+  // its span counts the wait for a worker as client_queue time.
   if (TraceContext context = CurrentTraceContext(); context.present()) {
-    op = [context, inner = std::move(op)](AgentTransport* transport, Completion done) {
-      ScopedTraceContext scope(context);
+    op = [context, queued_ns = FlightRecorder::NowNs(), inner = std::move(op)](
+             AgentTransport* transport, Completion done) {
+      ScopedTraceContext scope(context, queued_ns);
       inner(transport, std::move(done));
     };
   }
@@ -221,6 +223,7 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
         }
         --state->outstanding;
         if (state->outstanding == 0) {
+          state->drained_ns = FlightRecorder::NowNs();
           state->cv.notify_all();
         }
       }
@@ -242,6 +245,15 @@ uint64_t OpBatch::Outstanding() {
 std::vector<Status> OpBatch::Wait() {
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
+  if (state_->drained_ns != 0) {
+    // The waiter resumes a scheduler wake-up after the last op completed on
+    // a reactor thread: client-side queueing, the mirror of the pool wait
+    // each op's span starts with.
+    if (CurrentTraceContext().present()) {
+      NoteRootStage(SpanStage::kClientQueue, state_->drained_ns, FlightRecorder::NowNs());
+    }
+    state_->drained_ns = 0;
+  }
   if (state_->batch_timing_armed) {
     state_->batch_timing_armed = false;
     Metrics().batch_us->Record(

@@ -158,6 +158,9 @@ class OpBatch {
     // a wait round, consumed (and re-armed) by Wait.
     std::chrono::steady_clock::time_point batch_start{};
     bool batch_timing_armed = false;
+    // When the last outstanding op completed (trace clock), for attributing
+    // the waiter's wake-up; consumed by Wait.
+    uint64_t drained_ns = 0;
   };
 
   DistributionAgent* agent_;

@@ -139,7 +139,8 @@ class ParityTimer {
 
 // Root span for one client-visible file operation (label "pread"/"pwrite").
 // Installs the ambient context every transport op spawned below inherits; on
-// destruction folds in the thread's parity time and submits the span. A
+// destruction folds in the thread's parity time and root stages (batch
+// wake-ups) and submits the span. A
 // no-op when an outer trace context already covers this call (nested ops,
 // scrub-triggered repairs) or tracing is off.
 class RootSpanScope {
@@ -162,6 +163,7 @@ class RootSpanScope {
     context.parent_span_id = span_.span_id;
     t_parity_ns = 0;
     t_parity_first_ns = 0;
+    TakeRootStages();  // drop leftovers noted with no root span above
     scope_.emplace(context);
     last_trace_id.store(context.trace_id, std::memory_order_relaxed);
   }
@@ -175,6 +177,9 @@ class RootSpanScope {
       span_.events.push_back({SpanStage::kParity, t_parity_first_ns, t_parity_ns, 0});
       t_parity_ns = 0;
       t_parity_first_ns = 0;
+    }
+    for (const SpanEvent& event : TakeRootStages()) {
+      span_.events.push_back(event);
     }
     SpanStore::Global().Submit(std::move(span_));
   }

@@ -6,6 +6,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <random>
+#include <utility>
 
 #include "src/util/metrics.h"
 #include "src/util/wire_buffer.h"
@@ -27,6 +28,9 @@ constexpr uint64_t kTimestampMask = (uint64_t{1} << 56) - 1;
 std::atomic<uint32_t> g_trace_node{0};
 thread_local uint32_t t_trace_shard = 0;
 thread_local TraceContext t_trace_context;
+thread_local uint64_t t_op_queued_ns = 0;
+thread_local std::vector<SpanEvent> t_root_stages;
+constexpr size_t kMaxRootStages = 64;
 std::atomic<uint8_t> g_trace_mode{static_cast<uint8_t>(TraceMode::kSampled)};
 
 // SplitMix64: turns a counter into well-mixed ids without a lock.
@@ -204,6 +208,18 @@ uint32_t ThreadTraceShard() { return t_trace_shard; }
 TraceContext CurrentTraceContext() { return t_trace_context; }
 
 void SetCurrentTraceContext(const TraceContext& context) { t_trace_context = context; }
+
+uint64_t CurrentOpQueuedNs() { return t_op_queued_ns; }
+
+void SetCurrentOpQueuedNs(uint64_t queued_ns) { t_op_queued_ns = queued_ns; }
+
+void NoteRootStage(SpanStage stage, uint64_t start_ns, uint64_t end_ns) {
+  if (end_ns > start_ns && t_root_stages.size() < kMaxRootStages) {
+    t_root_stages.push_back(SpanEvent{stage, start_ns, end_ns - start_ns, 0});
+  }
+}
+
+std::vector<SpanEvent> TakeRootStages() { return std::exchange(t_root_stages, {}); }
 
 // --- sampling policy ------------------------------------------------------
 

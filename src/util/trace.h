@@ -130,20 +130,32 @@ struct TraceContext {
 TraceContext CurrentTraceContext();
 void SetCurrentTraceContext(const TraceContext& context);
 
-// RAII: installs `context` for the current scope, restoring the previous
-// ambient context on exit.
+// When a worker pool runs an op on behalf of the thread that queued it: the
+// time it was queued (FlightRecorder::NowNs), else 0. A transport op's span
+// starts there, so the pool hand-off counts as client_queue time instead of
+// an unattributed gap before the first op.
+uint64_t CurrentOpQueuedNs();
+void SetCurrentOpQueuedNs(uint64_t queued_ns);
+
+// RAII: installs `context` (and the op's queue time, if any) for the current
+// scope, restoring the previous ambient values on exit.
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(const TraceContext& context)
-      : saved_(CurrentTraceContext()) {
+  explicit ScopedTraceContext(const TraceContext& context, uint64_t queued_ns = 0)
+      : saved_(CurrentTraceContext()), saved_queued_ns_(CurrentOpQueuedNs()) {
     SetCurrentTraceContext(context);
+    SetCurrentOpQueuedNs(queued_ns);
   }
-  ~ScopedTraceContext() { SetCurrentTraceContext(saved_); }
+  ~ScopedTraceContext() {
+    SetCurrentTraceContext(saved_);
+    SetCurrentOpQueuedNs(saved_queued_ns_);
+  }
   ScopedTraceContext(const ScopedTraceContext&) = delete;
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
 
  private:
   TraceContext saved_;
+  uint64_t saved_queued_ns_;
 };
 
 // --- sampling policy ------------------------------------------------------
@@ -177,7 +189,7 @@ TraceContext NewRootContext();
 // The per-hop stage taxonomy (DESIGN.md §14). Stage durations are what the
 // timeline attributes client-observed latency to.
 enum class SpanStage : uint8_t {
-  kClientQueue = 1,  // submit → reactor pickup (client op queue)
+  kClientQueue = 1,  // submit → reactor pickup (worker pool + client op queue)
   kSendFlush = 2,    // reactor pickup → send batch flushed to the kernel
   kWire = 3,         // flush → completion (network + remote, from the client)
   kRecvBatch = 4,    // datagram kernel receive → server processing start
@@ -216,6 +228,13 @@ struct Span {
 
   uint64_t duration_ns() const { return end_ns >= start_ns ? end_ns - start_ns : 0; }
 };
+
+// Stage time a client call spends on its own thread outside any op span —
+// e.g. waking up after its batch's last op completed on a reactor thread.
+// Noted on the calling thread; the call's root span takes the events when it
+// ends. Capped per thread, so a thread with no root span above never grows.
+void NoteRootStage(SpanStage stage, uint64_t start_ns, uint64_t end_ns);
+std::vector<SpanEvent> TakeRootStages();
 
 // Process-wide span retention: sharded bounded rings (the rings ARE the
 // tail-sampling buffer — every traced request is recorded; "sampling" marks

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -197,6 +199,116 @@ TEST(IntegrityStoreTest, ScrubReportsCorruptRanges) {
   EXPECT_EQ(report->corrupt_ranges[0].length, kIntegrityBlockSize);
   EXPECT_EQ(report->corrupt_ranges[1].offset, 4 * kIntegrityBlockSize);
   EXPECT_FALSE(report->truncated);
+}
+
+// Forwards every call to `inner` and counts the bytes written per file.
+class CountingStore : public BackingStore {
+ public:
+  explicit CountingStore(BackingStore* inner) : inner_(inner) {}
+
+  bool Exists(const std::string& name) override { return inner_->Exists(name); }
+  Status Ensure(const std::string& name) override { return inner_->Ensure(name); }
+  Result<BufferSlice> ReadAt(const std::string& name, uint64_t offset,
+                             uint64_t length) override {
+    return inner_->ReadAt(name, offset, length);
+  }
+  Status WriteAt(const std::string& name, uint64_t offset,
+                 std::span<const uint8_t> data) override {
+    written_[name] += data.size();
+    return inner_->WriteAt(name, offset, data);
+  }
+  Result<uint64_t> Size(const std::string& name) override { return inner_->Size(name); }
+  Status Truncate(const std::string& name, uint64_t size) override {
+    return inner_->Truncate(name, size);
+  }
+  Status Remove(const std::string& name) override { return inner_->Remove(name); }
+
+  uint64_t BytesWritten(const std::string& name) { return written_[name]; }
+  void ResetCounts() { written_.clear(); }
+
+ private:
+  BackingStore* inner_;
+  std::map<std::string, uint64_t> written_;
+};
+
+std::vector<uint8_t> StoredBytes(BackingStore& store, const std::string& name) {
+  auto size = store.Size(name);
+  EXPECT_TRUE(size.ok()) << size.status().ToString();
+  if (!size.ok()) {
+    return {};
+  }
+  auto bytes = store.ReadAt(name, 0, *size);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? std::vector<uint8_t>(bytes->begin(), bytes->end())
+                    : std::vector<uint8_t>();
+}
+
+// The sidecar a fresh IntegrityBackingStore seals, by trust on first use,
+// over a copy of `name`'s stored data.
+std::vector<uint8_t> TofuSidecar(BackingStore& store, const std::string& name) {
+  InMemoryBackingStore copy;
+  EXPECT_TRUE(copy.Ensure(name).ok());
+  EXPECT_TRUE(copy.WriteAt(name, 0, StoredBytes(store, name)).ok());
+  IntegrityBackingStore fresh(&copy);
+  EXPECT_TRUE(fresh.Ensure(name).ok());
+  return StoredBytes(copy, name + ".crc");
+}
+
+TEST(IntegrityStoreTest, WritesPersistOnlyTheSealsTheyChange) {
+  InMemoryBackingStore inner;
+  CountingStore counting(&inner);
+  IntegrityBackingStore store(&counting);
+  constexpr uint64_t bs = kIntegrityBlockSize;
+  ASSERT_TRUE(store.Ensure("obj").ok());
+  ASSERT_TRUE(store.WriteAt("obj", 0, Pattern(MiB(1))).ok());
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+
+  // A one-block overwrite of a 1 MiB object rewrites one 4-byte seal.
+  counting.ResetCounts();
+  ASSERT_TRUE(store.WriteAt("obj", 5 * bs, Pattern(bs, 2)).ok());
+  EXPECT_EQ(counting.BytesWritten("obj.crc"), 4u);
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+
+  // An unaligned overwrite straddling four blocks rewrites four seals.
+  counting.ResetCounts();
+  ASSERT_TRUE(store.WriteAt("obj", 10 * bs + 7, Pattern(3 * bs, 3)).ok());
+  EXPECT_EQ(counting.BytesWritten("obj.crc"), 16u);
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+
+  // Appending past EOF seals the zero hole and the new tail, appending
+  // exactly the new seals to the sidecar.
+  counting.ResetCounts();
+  ASSERT_TRUE(store.WriteAt("obj", MiB(1) + 3 * bs + 100, Pattern(500, 4)).ok());
+  EXPECT_EQ(counting.BytesWritten("obj.crc"), 4u * 4);
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+
+  // A mid-block patch reseals its one block.
+  counting.ResetCounts();
+  ASSERT_TRUE(store.WriteAt("obj", 7 * bs + 100, Pattern(50, 5)).ok());
+  EXPECT_EQ(counting.BytesWritten("obj.crc"), 4u);
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+
+  // Truncation, shrinking and growing, keeps the sidecar exact.
+  ASSERT_TRUE(store.Truncate("obj", 300 * bs + 77).ok());
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+  ASSERT_TRUE(store.Truncate("obj", 400 * bs + 5).ok());
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
+
+  auto read = store.ReadAt("obj", 0, 400 * bs + 5);
+  EXPECT_TRUE(read.ok()) << read.status().ToString();
+}
+
+TEST(IntegrityStoreTest, RemovedSidecarIsRecreatedWhole) {
+  InMemoryBackingStore inner;
+  IntegrityBackingStore store(&inner);
+  ASSERT_TRUE(store.Ensure("obj").ok());
+  ASSERT_TRUE(store.WriteAt("obj", 0, Pattern(8 * kIntegrityBlockSize)).ok());
+
+  // A wiped store loses the sidecar under the cache; the next write must
+  // not leave a sidecar holding only its own seals.
+  ASSERT_TRUE(inner.Remove("obj.crc").ok());
+  ASSERT_TRUE(store.WriteAt("obj", kIntegrityBlockSize, Pattern(kIntegrityBlockSize, 2)).ok());
+  EXPECT_EQ(StoredBytes(inner, "obj.crc"), TofuSidecar(inner, "obj"));
 }
 
 // ----------------------------------------------------- FaultyBackingStore ---

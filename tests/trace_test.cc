@@ -311,6 +311,39 @@ TEST(TraceFlightRecorderTest, DumpCarriesNodeAndShardTags) {
   EXPECT_TRUE(found) << "no line tagged node=4951 shard=3 in:\n" << dump;
 }
 
+// --- client-side stage bookkeeping ----------------------------------------
+
+TEST(TraceContextTest, ScopedContextCarriesAndRestoresQueueTime) {
+  const TraceContext outer{11, 1, kTraceFlagSampled};
+  ScopedTraceContext outer_scope(outer);
+  EXPECT_EQ(CurrentOpQueuedNs(), 0u);
+  {
+    ScopedTraceContext inner({22, 2, kTraceFlagSampled}, 12345);
+    EXPECT_EQ(CurrentTraceContext().trace_id, 22u);
+    EXPECT_EQ(CurrentOpQueuedNs(), 12345u);
+  }
+  EXPECT_EQ(CurrentTraceContext().trace_id, 11u);
+  EXPECT_EQ(CurrentOpQueuedNs(), 0u);
+}
+
+TEST(TraceContextTest, RootStagesAreTakenOnceAndBounded) {
+  TakeRootStages();
+  NoteRootStage(SpanStage::kClientQueue, 100, 100);  // empty: dropped
+  NoteRootStage(SpanStage::kClientQueue, 100, 250);
+  std::vector<SpanEvent> taken = TakeRootStages();
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].stage, SpanStage::kClientQueue);
+  EXPECT_EQ(taken[0].at_ns, 100u);
+  EXPECT_EQ(taken[0].dur_ns, 150u);
+  EXPECT_TRUE(TakeRootStages().empty());
+
+  // A thread that never closes a root span must not grow without bound.
+  for (uint64_t i = 0; i < 10000; ++i) {
+    NoteRootStage(SpanStage::kClientQueue, i, i + 1);
+  }
+  EXPECT_LE(TakeRootStages().size(), 64u);
+}
+
 // --- remote collection and full STATS -------------------------------------
 
 struct AgentUnderTest {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -291,6 +293,107 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   uint32_t before = Crc32(data);
   data[17] ^= 0x10;
   EXPECT_NE(Crc32(data), before);
+}
+
+// The original byte-at-a-time table loop: the reference every kernel must
+// match bit for bit, so wire CRCs and stored sidecars never change.
+uint32_t ReferenceCrc32Update(uint32_t state, std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) != 0 ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (uint8_t b : data) {
+    state = table[(state ^ b) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
+}
+
+uint32_t ReferenceCrc32(std::span<const uint8_t> data) {
+  return ReferenceCrc32Update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+// Runs `check` once on the dispatched kernel and once on the portable one.
+template <typename Fn>
+void ForEachCrcKernel(Fn check) {
+  for (const bool simd : {true, false}) {
+    const bool had_simd = SetCrcSimdEnabled(simd);
+    SCOPED_TRACE(Crc32KernelName());
+    check();
+    SetCrcSimdEnabled(had_simd);
+  }
+}
+
+TEST(Crc32Test, KnownVectorOnEveryKernel) {
+  const char* s = "123456789";
+  ForEachCrcKernel([&] {
+    EXPECT_EQ(Crc32({reinterpret_cast<const uint8_t*>(s), 9}), 0xCBF43926u);
+    EXPECT_EQ(Crc32({}), 0u);
+  });
+}
+
+TEST(Crc32Test, PortableKernelNamesItself) {
+  const bool had_simd = SetCrcSimdEnabled(false);
+  EXPECT_STREQ(Crc32KernelName(), "slice8");
+  SetCrcSimdEnabled(had_simd);
+}
+
+TEST(Crc32Test, EveryKernelMatchesReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kAlignments = 16;
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1100; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t n : {1472, 4096, 8192, 65536}) {
+    lengths.push_back(n);
+  }
+  std::vector<uint8_t> pool(65536 + kAlignments);
+  Rng rng(11);
+  for (auto& b : pool) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  ForEachCrcKernel([&] {
+    for (size_t n : lengths) {
+      for (size_t align = 0; align < kAlignments; ++align) {
+        const std::span<const uint8_t> data(pool.data() + align, n);
+        const uint32_t want = ReferenceCrc32(data);
+        ASSERT_EQ(Crc32(data), want) << "length " << n << " alignment " << align;
+        // A non-initial state must carry through too (incremental use).
+        ASSERT_EQ(Crc32Update(0x12345678u, data), ReferenceCrc32Update(0x12345678u, data))
+            << "length " << n << " alignment " << align;
+      }
+    }
+  });
+}
+
+TEST(Crc32Test, EveryKernelMatchesReferenceAcrossRandomSplits) {
+  std::vector<uint8_t> data(65536 + 37);
+  Rng rng(12);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  const uint32_t want = ReferenceCrc32(data);
+  ForEachCrcKernel([&] {
+    for (int trial = 0; trial < 200; ++trial) {
+      uint32_t state = Crc32Init();
+      size_t pos = 0;
+      while (pos < data.size()) {
+        // Mostly short pieces, sometimes long ones, so both kernels' bulk
+        // loops and their tails see every kind of boundary.
+        const size_t cap = rng.UniformInt(0, 3) == 0 ? 9000 : 200;
+        const size_t len = std::min<size_t>(rng.UniformInt(0, cap), data.size() - pos);
+        state = Crc32Update(state, std::span<const uint8_t>(data).subspan(pos, len));
+        pos += len;
+      }
+      ASSERT_EQ(Crc32Final(state), want) << "trial " << trial;
+    }
+  });
 }
 
 // ----------------------------------------------------------- Wire buffer ---
