@@ -1,8 +1,8 @@
 // Real sockets: the §3 prototype running in one process on loopback.
 //
 // Starts three storage-agent servers (each with its own well-known UDP port,
-// per-open session threads and private ports — the §3.1 design), then
-// drives a striped SwiftFile through UdpTransport:
+// whose shard loop serves every open file's session — the §3.1 protocol),
+// then drives a striped SwiftFile through UdpTransport:
 //
 //   * bulk write + read-back with timing and protocol statistics;
 //   * a run with 15% injected packet loss in both directions, showing the

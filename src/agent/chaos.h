@@ -26,6 +26,9 @@
 //
 // e.g. "0-3000:partition:7001;5000-8000:delay:7002:50;0-60000:loss:*:0.01".
 // A rule's peer matches the remote endpoint's port; '*' matches any peer.
+// Agents serve sessions on their well-known port, so on a client a rule that
+// names an agent's port matches that agent's data traffic as well as its
+// OPENs.
 // Directions are as seen from the socket holding the director, so the same
 // spec string installed only on one node produces asymmetric faults.
 

@@ -4,7 +4,7 @@
 // semantics, and the file operations behind the Swift data-transfer
 // protocol. The in-process transport calls it directly; the UDP server
 // (udp_agent_server.h) drives it from decoded protocol messages. All methods
-// are thread-safe (the UDP server runs one thread per open file, §3.1).
+// are thread-safe (the UDP server calls them from every shard's loop).
 
 #ifndef SWIFT_SRC_AGENT_STORAGE_AGENT_H_
 #define SWIFT_SRC_AGENT_STORAGE_AGENT_H_

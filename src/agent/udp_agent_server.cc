@@ -14,17 +14,43 @@ namespace swift {
 
 namespace {
 
-// Shard and session threads poll with a short timeout so Stop() is prompt
-// even if the wake datagram races.
-constexpr int kSessionPollMs = 200;
+// Shard loops poll with a short timeout so Stop() is prompt even if the
+// wake datagram races, and so an idle shard ships its pending spans.
+constexpr int kPollMs = 200;
 
-Message ErrorReply(const Message& request, const Status& status) {
+// Span-aggregation entries a session may hold before the ones a receive
+// batch did not touch are shipped early.
+constexpr size_t kMaxSessionTraces = 32;
+
+// A reply of `type` to `request`: same handle, same request id.
+Message ReplyTo(const Message& request, MessageType type) {
   Message reply;
-  reply.type = MessageType::kError;
+  reply.type = type;
   reply.handle = request.handle;
   reply.request_id = request.request_id;
+  return reply;
+}
+
+Message ErrorReply(const Message& request, const Status& status) {
+  Message reply = ReplyTo(request, MessageType::kError);
   reply.status_code = static_cast<uint32_t>(status.code());
   return reply;
+}
+
+// Requests that name an open handle; everything else the agent serves
+// (OPEN, STATS, TRACE, REMOVE, SCRUB) is object- or agent-scoped.
+bool IsSessionRequest(MessageType type) {
+  switch (type) {
+    case MessageType::kReadReq:
+    case MessageType::kWriteReq:
+    case MessageType::kWriteData:
+    case MessageType::kStat:
+    case MessageType::kTruncate:
+    case MessageType::kClose:
+      return true;
+    default:
+      return false;
+  }
 }
 
 // Wire-level registry metrics shared by every agent server in the process.
@@ -127,7 +153,92 @@ void FlushReplies(UdpSocket& socket, const std::vector<OutgoingDatagram>& replie
   }
 }
 
+// An in-progress write request: reassembly of its WRITE_DATA burst.
+struct PendingWrite {
+  std::unique_ptr<Reassembler> reassembler;
+  uint64_t offset = 0;
+  bool committed = false;
+};
+
+// A client op (one request id) arrives as many datagrams spread across
+// receive batches; its server-side story is aggregated here and submitted as
+// ONE span — per-stage sums, not one span per datagram. Timestamps inside
+// the span are recorded live, so late submission costs nothing.
+struct RequestTrace {
+  Span span;
+  uint64_t recv_wait_ns = 0;      // sum: kernel receive → processing start
+  uint64_t service_start_ns = 0;  // first handler start
+  uint64_t service_ns = 0;        // sum of handler time minus store time
+  uint64_t store_start_ns = 0;    // first backing-store call start
+  uint64_t store_ns = 0;          // sum of backing-store call time
+  uint64_t reply_start_ns = 0;    // first reply-flush start
+  uint64_t reply_ns = 0;          // sum of reply-flush time
+
+  void Submit() {
+    if (recv_wait_ns != 0) {
+      span.events.push_back({SpanStage::kRecvBatch, span.start_ns, recv_wait_ns, 0});
+    }
+    if (service_ns != 0) {
+      span.events.push_back({SpanStage::kService, service_start_ns, service_ns, 0});
+    }
+    if (store_ns != 0) {
+      span.events.push_back({SpanStage::kStore, store_start_ns, store_ns, 0});
+    }
+    if (reply_ns != 0) {
+      span.events.push_back({SpanStage::kReply, reply_start_ns, reply_ns, 0});
+    }
+    SpanStore::Global().Submit(std::move(span));
+  }
+};
+
 }  // namespace
+
+// State is keyed per handle, never per request id alone: every client
+// transport numbers its requests from 1, so two clients on one shard reuse
+// the same ids.
+struct UdpAgentServer::Session {
+  UdpEndpoint opener;            // who sent the OPEN, and
+  uint32_t open_request_id = 0;  // its request id: recognizes a retransmit
+  std::map<uint32_t, PendingWrite> writes;  // keyed by request id
+  std::map<uint32_t, RequestTrace> traces;  // keyed by request id
+
+  // Ships every pending span: on idle, on CLOSE, and at shutdown.
+  void SubmitTraces() {
+    for (auto& [id, trace] : traces) {
+      trace.Submit();
+    }
+    traces.clear();
+  }
+
+  // After a receive batch: charges the batch's reply flush (if it sent any)
+  // to traced request `request_id` — the intervals of concurrent requests
+  // overlap, which the timeline's union-based attribution handles — then
+  // bounds the span map the way `writes` is bounded: past the limit, ship
+  // every request the batch did not touch.
+  void EndBatch(uint32_t handle, uint32_t request_id, uint64_t flush_begin_ns,
+                uint64_t flush_end_ns, const TouchedList& touched) {
+    auto it = traces.find(request_id);
+    if (it != traces.end() && flush_end_ns != 0) {
+      it->second.reply_ns += flush_end_ns - flush_begin_ns;
+      if (it->second.reply_start_ns == 0) {
+        it->second.reply_start_ns = flush_begin_ns;
+      }
+      it->second.span.end_ns = flush_end_ns;
+    }
+    if (traces.size() <= kMaxSessionTraces) {
+      return;
+    }
+    for (auto entry = traces.begin(); entry != traces.end();) {
+      if (std::find(touched.begin(), touched.end(), std::pair(handle, entry->first)) !=
+          touched.end()) {
+        ++entry;
+      } else {
+        entry->second.Submit();
+        entry = traces.erase(entry);
+      }
+    }
+  }
+};
 
 UdpAgentServer::UdpAgentServer(StorageAgentCore* core, Options options)
     : core_(core), options_(options) {}
@@ -189,27 +300,12 @@ void UdpAgentServer::Stop() {
       shard->thread.join();
     }
   }
-  for (auto& shard : shards_) {
-    std::vector<std::unique_ptr<Session>> sessions;
-    {
-      std::lock_guard<std::mutex> lock(shard->sessions_mutex);
-      sessions = std::move(shard->sessions);
-      shard->sessions.clear();
-    }
-    for (auto& session : sessions) {
-      session->socket->Shutdown();
-      if (session->thread.joinable()) {
-        session->thread.join();
-      }
-    }
-  }
 }
 
-size_t UdpAgentServer::active_session_count() {
+size_t UdpAgentServer::active_session_count() const {
   size_t total = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->sessions_mutex);
-    total += shard->sessions.size();
+  for (const auto& shard : shards_) {
+    total += shard->sessions.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -224,19 +320,31 @@ std::vector<uint64_t> UdpAgentServer::shard_datagram_counts() const {
 }
 
 void UdpAgentServer::ShardLoop(Shard* shard) {
-  SetThreadTraceShard(shard->index + 1);  // 1-based: 0 means "unsharded"
+  const uint32_t shard_tag = shard->index + 1;  // 1-based: 0 means "unsharded"
+  SetThreadTraceShard(shard_tag);
   const size_t batch_limit = std::max<uint32_t>(1, options_.socket_batch);
+  SessionTable sessions;  // only this thread touches it: no lock
   std::vector<UdpSocket::ReceivedDatagram> batch;
   std::vector<OutgoingDatagram> replies;
+  TouchedList touched;
+  auto submit_all_traces = [&] {
+    for (auto& [handle, session] : sessions) {
+      session.SubmitTraces();
+    }
+  };
   while (running_.load(std::memory_order_acquire)) {
-    auto received = shard->socket.RecvBatch(kSessionPollMs, batch_limit, batch);
+    auto received = shard->socket.RecvBatch(kPollMs, batch_limit, batch);
     if (!received.ok()) {
       if (received.code() == StatusCode::kTimedOut) {
+        // Idle: every in-flight request has gone quiet for a poll interval;
+        // ship the aggregated spans so collectors see them promptly.
+        submit_all_traces();
         continue;
       }
       break;  // socket shut down
     }
     replies.clear();
+    touched.clear();
     for (const auto& datagram : batch) {
       if (datagram.truncated) {
         continue;  // kernel cut it: garbage, behave as if lost
@@ -248,77 +356,45 @@ void UdpAgentServer::ShardLoop(Shard* shard) {
       Metrics().datagrams_in->Increment();
       shard->datagrams.fetch_add(1, std::memory_order_relaxed);
       shard->registry_datagrams->Increment();
-      if (BudgetExpired(*message, datagram.recv_ns)) {
+      const Message& m = *message;
+      Session* session = nullptr;
+      if (IsSessionRequest(m.type)) {
+        auto it = sessions.find(m.handle);
+        if (it == sessions.end()) {
+          // Not open on this shard (closed, never opened, or opened through
+          // another shard): dropped as if lost, as a closed port would.
+          continue;
+        }
+        session = &it->second;
+      }
+      // Shed expired queued work before any service or trace accounting.
+      // CLOSE is exempt (releasing the handle must always go through), and
+      // an expired WRITE_DATA packet is dropped silently — the write op's
+      // query/NACK cycle resynchronizes, and one kOverloaded on the query
+      // beats a reply storm mirroring the whole burst.
+      if (m.type != MessageType::kClose && BudgetExpired(m, datagram.recv_ns)) {
         Metrics().overload_sheds->Increment();
-        QueueReply(replies, datagram.from,
-                   ErrorReply(*message, OverloadedError("deadline expired in queue")),
-                   message->tx_ts_us);
+        if (m.type != MessageType::kWriteData) {
+          QueueReply(replies, datagram.from,
+                     ErrorReply(m, OverloadedError("deadline expired in queue")), m.tx_ts_us);
+        }
         continue;
       }
-      // Well-known-port requests are single datagrams; a traced one gets a
-      // self-contained span (recv-batch wait + handler time) right here.
-      const bool traced = message->trace.sampled() && GetTraceMode() != TraceMode::kOff;
-      const uint64_t proc_ns = traced ? FlightRecorder::NowNs() : 0;
-      if (message->type == MessageType::kOpen) {
-        HandleOpen(shard, *message, datagram.from, replies);
-      } else if (message->type == MessageType::kStats) {
-        Metrics().stats_requests->Increment();
-        // The full registry, packetized: STATS_REPLY is a bulk reply family,
-        // so a many-KiB snapshot ships as a seq/total train instead of being
-        // truncated to one datagram.
-        const std::string text = MetricRegistry::Global().RenderText();
-        for (const Message& packet :
-             SplitIntoPackets(MessageType::kStatsReply, 0, message->request_id, 0,
-                              BufferSlice::CopyOf(text))) {
-          QueueReply(replies, datagram.from, packet, message->tx_ts_us);
+      if (session != nullptr) {
+        if (HandleSessionRequest(*session, m, datagram, shard_tag, replies, touched)) {
+          session->SubmitTraces();
+          sessions.erase(m.handle);
+          shard->sessions.fetch_sub(1, std::memory_order_relaxed);
         }
-      } else if (message->type == MessageType::kTrace) {
-        Metrics().trace_requests->Increment();
-        // `size` carries the trace-id filter (0 = all recent spans).
-        const std::vector<Span> spans = SpanStore::Global().Snapshot(message->size);
-        for (const Message& packet :
-             SplitIntoPackets(MessageType::kTraceReply, 0, message->request_id, 0,
-                              BufferSlice::FromVector(SerializeSpans(spans)))) {
-          QueueReply(replies, datagram.from, packet, message->tx_ts_us);
-        }
-      } else if (message->type == MessageType::kRemove) {
-        Message reply;
-        reply.request_id = message->request_id;
-        Status status = core_->Remove(message->object_name);
-        if (status.ok()) {
-          reply.type = MessageType::kRemoveAck;
-        } else {
-          reply.type = MessageType::kError;
-          reply.status_code = static_cast<uint32_t>(status.code());
-        }
-        QueueReply(replies, datagram.from, reply, message->tx_ts_us);
-      } else if (message->type == MessageType::kScrub) {
-        Message reply;
-        reply.type = MessageType::kScrubReply;
-        reply.request_id = message->request_id;
-        auto report = core_->Scrub(message->object_name);
-        if (!report.ok()) {
-          reply.status_code = static_cast<uint32_t>(report.code());
-        } else {
-          reply.size = report->blocks_checked;
-          // Payload: (u64 offset, u64 length) per corrupt range, then a u8
-          // truncation flag. Clip to one datagram; the client re-scrubs after
-          // repairing what fit.
-          constexpr size_t kMaxRanges = (kMaxPacketPayload - 1) / 16;
-          const size_t count = std::min(report->corrupt_ranges.size(), kMaxRanges);
-          WireWriter w(count * 16 + 1);
-          for (size_t i = 0; i < count; ++i) {
-            w.PutU64(report->corrupt_ranges[i].offset);
-            w.PutU64(report->corrupt_ranges[i].length);
-          }
-          const bool truncated = report->truncated || count < report->corrupt_ranges.size();
-          w.PutU8(truncated ? 1 : 0);
-          reply.payload = BufferSlice::FromVector(w.Take());
-        }
-        QueueReply(replies, datagram.from, reply, message->tx_ts_us);
+        continue;
       }
+      // Control requests are single datagrams; a traced one gets a
+      // self-contained span (recv-batch wait + handler time) right here.
+      const bool traced = m.trace.sampled() && GetTraceMode() != TraceMode::kOff;
+      const uint64_t proc_ns = traced ? FlightRecorder::NowNs() : 0;
+      HandleControl(shard, sessions, m, datagram.from, replies);
       if (traced) {
-        Span span = NewServerSpan(*message, shard->index + 1,
+        Span span = NewServerSpan(m, shard_tag,
                                   datagram.recv_ns != 0 ? datagram.recv_ns : proc_ns);
         if (datagram.recv_ns != 0 && proc_ns > datagram.recv_ns) {
           span.events.push_back(
@@ -329,377 +405,267 @@ void UdpAgentServer::ShardLoop(Shard* shard) {
         SpanStore::Global().Submit(std::move(span));
       }
     }
+    uint64_t flush_begin_ns = 0;
+    uint64_t flush_end_ns = 0;
     if (!replies.empty()) {
+      flush_begin_ns = touched.empty() ? 0 : FlightRecorder::NowNs();
       FlushReplies(shard->socket, replies, batch_limit);
+      flush_end_ns = touched.empty() ? 0 : FlightRecorder::NowNs();
     }
-  }
-}
-
-void UdpAgentServer::HandleOpen(Shard* shard, const Message& request,
-                                const UdpEndpoint& client,
-                                std::vector<OutgoingDatagram>& replies) {
-  Message reply;
-  reply.type = MessageType::kOpenReply;
-  reply.request_id = request.request_id;
-
-  auto opened = core_->Open(request.object_name, request.open_flags);
-  if (!opened.ok()) {
-    reply.status_code = static_cast<uint32_t>(opened.code());
-    QueueReply(replies, client, reply, request.tx_ts_us);
-    return;
-  }
-
-  // Private port + dedicated thread for this file (§3.1). The session lives
-  // on the shard whose listener accepted the open, so its bookkeeping never
-  // crosses shards.
-  auto session = std::make_unique<Session>();
-  session->socket = std::make_unique<UdpSocket>();
-  Status bind_status = session->socket->BindLoopback(0);
-  if (!bind_status.ok()) {
-    (void)core_->Close(opened->handle);
-    reply.status_code = static_cast<uint32_t>(bind_status.code());
-    QueueReply(replies, client, reply, request.tx_ts_us);
-    return;
-  }
-  if (options_.loss_probability > 0) {
-    session->socket->SetLossProbability(options_.loss_probability,
-                                        options_.loss_seed * 31 + opened->handle);
-  }
-  session->socket->SetChaos(options_.chaos);
-
-  reply.status_code = 0;
-  reply.handle = opened->handle;
-  reply.data_port = session->socket->local_port();
-  reply.size = opened->size;
-
-  UdpSocket* socket = session->socket.get();
-  const uint32_t handle = opened->handle;
-  const uint32_t shard_index = shard->index;
-  session->thread = std::thread(
-      [this, socket, handle, shard_index] { SessionLoop(socket, handle, shard_index); });
-  {
-    std::lock_guard<std::mutex> lock(shard->sessions_mutex);
-    shard->sessions.push_back(std::move(session));
-  }
-  QueueReply(replies, client, reply, request.tx_ts_us);
-}
-
-void UdpAgentServer::SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t shard_index) {
-  SetThreadTraceShard(shard_index + 1);  // session inherits its shard's tag
-  // In-progress write requests on this file, keyed by request id.
-  struct PendingWrite {
-    std::unique_ptr<Reassembler> reassembler;
-    uint64_t offset = 0;
-    bool committed = false;
-  };
-  std::map<uint32_t, PendingWrite> writes;
-
-  // A client op (one request id) arrives as many datagrams spread across
-  // receive batches; its server-side story is aggregated here and submitted
-  // as ONE span — per-stage sums, not one span per datagram. Submission
-  // happens when the session goes idle (poll timeout), when the map is
-  // culled, or when the session closes; timestamps inside the span are
-  // recorded live, so late submission costs nothing.
-  struct RequestTrace {
-    Span span;
-    uint64_t recv_wait_ns = 0;      // sum: kernel receive → processing start
-    uint64_t service_start_ns = 0;  // first handler start
-    uint64_t service_ns = 0;        // sum of handler time minus store time
-    uint64_t store_start_ns = 0;    // first backing-store call start
-    uint64_t store_ns = 0;          // sum of backing-store call time
-    uint64_t reply_start_ns = 0;    // first reply-flush start
-    uint64_t reply_ns = 0;          // sum of reply-flush time
-  };
-  std::map<uint32_t, RequestTrace> traces;
-  std::vector<uint32_t> touched;  // request ids handled in this batch
-
-  auto submit_trace = [](RequestTrace& t) {
-    Span& s = t.span;
-    if (t.recv_wait_ns != 0) {
-      s.events.push_back({SpanStage::kRecvBatch, s.start_ns, t.recv_wait_ns, 0});
-    }
-    if (t.service_ns != 0) {
-      s.events.push_back({SpanStage::kService, t.service_start_ns, t.service_ns, 0});
-    }
-    if (t.store_ns != 0) {
-      s.events.push_back({SpanStage::kStore, t.store_start_ns, t.store_ns, 0});
-    }
-    if (t.reply_ns != 0) {
-      s.events.push_back({SpanStage::kReply, t.reply_start_ns, t.reply_ns, 0});
-    }
-    SpanStore::Global().Submit(std::move(s));
-  };
-  auto submit_all_traces = [&] {
-    for (auto& [id, t] : traces) {
-      submit_trace(t);
-    }
-    traces.clear();
-  };
-
-  const size_t batch_limit = std::max<uint32_t>(1, options_.socket_batch);
-  std::vector<UdpSocket::ReceivedDatagram> batch;
-  std::vector<OutgoingDatagram> replies;
-
-  auto commit_if_complete = [&](uint32_t request_id, PendingWrite& pending,
-                                const UdpEndpoint& client, RequestTrace* trace,
-                                uint64_t echo_ts_us) {
-    if (!pending.reassembler->complete() || pending.committed) {
-      return;
-    }
-    const auto service_start = std::chrono::steady_clock::now();
-    const uint64_t store_begin_ns = trace != nullptr ? FlightRecorder::NowNs() : 0;
-    Status status = core_->Write(handle, pending.offset, pending.reassembler->data());
-    if (trace != nullptr) {
-      trace->store_ns += FlightRecorder::NowNs() - store_begin_ns;
-      if (trace->store_start_ns == 0) {
-        trace->store_start_ns = store_begin_ns;
-      }
-    }
-    Metrics().write_service_us->Record(ElapsedUs(service_start));
-    Message reply;
-    reply.handle = handle;
-    reply.request_id = request_id;
-    if (status.ok()) {
-      pending.committed = true;
-      reply.type = MessageType::kWriteAck;
-    } else {
-      reply.type = MessageType::kError;
-      reply.status_code = static_cast<uint32_t>(status.code());
-    }
-    QueueReply(replies, client, reply, echo_ts_us);
-  };
-
-  bool closing = false;
-  while (!closing && running_.load(std::memory_order_acquire)) {
-    auto received = socket->RecvBatch(kSessionPollMs, batch_limit, batch);
-    if (!received.ok()) {
-      if (received.code() == StatusCode::kTimedOut) {
-        // Idle: every in-flight request has gone quiet for a poll interval;
-        // ship its aggregated span so collectors see it promptly.
-        submit_all_traces();
-        continue;
-      }
-      break;
-    }
-    replies.clear();
-    touched.clear();
-    for (const auto& datagram : batch) {
-      if (datagram.truncated) {
-        continue;  // garbage: behave as if lost, the client retransmits
-      }
-      auto decoded = Message::Decode(datagram.data);
-      if (!decoded.ok()) {
-        continue;  // treat as lost
-      }
-      Metrics().datagrams_in->Increment();
-      const Message& m = *decoded;
-      const UdpEndpoint& client = datagram.from;
-
-      // Shed expired queued work before any service or trace accounting.
-      // kClose is exempt (releasing the handle must always go through), and
-      // an expired WRITE_DATA packet is dropped silently — the write op's
-      // query/NACK cycle resynchronizes, and one kOverloaded on the query
-      // beats a reply storm mirroring the whole burst.
-      if (m.type != MessageType::kClose && BudgetExpired(m, datagram.recv_ns)) {
-        Metrics().overload_sheds->Increment();
-        if (m.type != MessageType::kWriteData) {
-          QueueReply(replies, client,
-                     ErrorReply(m, OverloadedError("deadline expired in queue")), m.tx_ts_us);
-        }
-        continue;
-      }
-
-      RequestTrace* trace = nullptr;
-      uint64_t handler_begin_ns = 0;
-      uint64_t store_before_ns = 0;
-      if (m.trace.sampled() && GetTraceMode() != TraceMode::kOff) {
-        handler_begin_ns = FlightRecorder::NowNs();
-        auto [slot, fresh] = traces.try_emplace(m.request_id);
-        trace = &slot->second;
-        if (fresh) {
-          trace->span = NewServerSpan(
-              m, shard_index + 1,
-              datagram.recv_ns != 0 ? datagram.recv_ns : handler_begin_ns);
-        }
-        if (datagram.recv_ns != 0 && handler_begin_ns > datagram.recv_ns) {
-          trace->recv_wait_ns += handler_begin_ns - datagram.recv_ns;
-        }
-        if (trace->service_start_ns == 0) {
-          trace->service_start_ns = handler_begin_ns;
-        }
-        store_before_ns = trace->store_ns;
-        touched.push_back(m.request_id);
-      }
-
-      switch (m.type) {
-        case MessageType::kReadReq: {
-          // One DATA packet per request, served immediately.
-          const auto service_start = std::chrono::steady_clock::now();
-          const uint64_t store_begin_ns = trace != nullptr ? FlightRecorder::NowNs() : 0;
-          auto data = core_->Read(handle, m.offset, m.read_length);
-          if (trace != nullptr) {
-            trace->store_ns += FlightRecorder::NowNs() - store_begin_ns;
-            if (trace->store_start_ns == 0) {
-              trace->store_start_ns = store_begin_ns;
-            }
-          }
-          Metrics().read_service_us->Record(ElapsedUs(service_start));
-          if (!data.ok()) {
-            QueueReply(replies, client, ErrorReply(m, data.status()), m.tx_ts_us);
-            break;
-          }
-          Message reply;
-          reply.type = MessageType::kData;
-          reply.handle = handle;
-          reply.request_id = m.request_id;
-          reply.seq = m.seq;
-          reply.total = m.total;
-          reply.offset = m.offset;
-          reply.payload = std::move(*data);
-          QueueReply(replies, client, reply, m.tx_ts_us);
-          break;
-        }
-        case MessageType::kWriteReq: {
-          auto it = writes.find(m.request_id);
-          if (it == writes.end()) {
-            PendingWrite pending;
-            pending.offset = m.offset;
-            pending.reassembler =
-                std::make_unique<Reassembler>(m.request_id, m.offset, m.read_length, m.total);
-            it = writes.emplace(m.request_id, std::move(pending)).first;
-          }
-          if (m.window == 1) {  // query
-            if (it->second.reassembler->complete()) {
-              commit_if_complete(m.request_id, it->second, client, trace, m.tx_ts_us);
-              if (it->second.committed) {
-                Message ack;
-                ack.type = MessageType::kWriteAck;
-                ack.handle = handle;
-                ack.request_id = m.request_id;
-                QueueReply(replies, client, ack, m.tx_ts_us);
-              }
-            } else {
-              Message nack;
-              nack.type = MessageType::kWriteNack;
-              nack.handle = handle;
-              nack.request_id = m.request_id;
-              nack.missing_seqs = it->second.reassembler->MissingSeqs();
-              QueueReply(replies, client, nack, m.tx_ts_us);
-            }
-          }
-          break;
-        }
-        case MessageType::kWriteData: {
-          auto it = writes.find(m.request_id);
-          if (it == writes.end()) {
-            break;  // data before announce: client's query will resynchronize
-          }
-          if (it->second.reassembler->Accept(m).ok()) {
-            commit_if_complete(m.request_id, it->second, client, trace, m.tx_ts_us);
-          }
-          // Bound session memory: drop committed requests once a newer request
-          // id appears (duplicated ACKs are regenerated from the query path).
-          if (writes.size() > 8) {
-            for (auto drop = writes.begin(); drop != writes.end();) {
-              if (drop->second.committed && drop->first != m.request_id) {
-                drop = writes.erase(drop);
-              } else {
-                ++drop;
-              }
-            }
-          }
-          break;
-        }
-        case MessageType::kStat: {
-          auto size = core_->Stat(handle);
-          if (!size.ok()) {
-            QueueReply(replies, client, ErrorReply(m, size.status()), m.tx_ts_us);
-            break;
-          }
-          Message reply;
-          reply.type = MessageType::kStatReply;
-          reply.handle = handle;
-          reply.request_id = m.request_id;
-          reply.size = *size;
-          QueueReply(replies, client, reply, m.tx_ts_us);
-          break;
-        }
-        case MessageType::kTruncate: {
-          Status status = core_->Truncate(handle, m.size);
-          if (!status.ok()) {
-            QueueReply(replies, client, ErrorReply(m, status), m.tx_ts_us);
-            break;
-          }
-          Message reply;
-          reply.type = MessageType::kTruncateAck;
-          reply.handle = handle;
-          reply.request_id = m.request_id;
-          QueueReply(replies, client, reply, m.tx_ts_us);
-          break;
-        }
-        case MessageType::kClose: {
-          Message reply;
-          reply.type = MessageType::kCloseAck;
-          reply.handle = handle;
-          reply.request_id = m.request_id;
-          QueueReply(replies, client, reply, m.tx_ts_us);
-          (void)core_->Close(handle);
-          // Extinguish this thread after the ACK flushes; the port dies with
-          // the session. Later datagrams in this batch belong to a dead
-          // handle and are dropped, exactly as if they had raced the close.
-          closing = true;
-          break;
-        }
-        default:
-          break;
-      }
-      if (trace != nullptr) {
-        const uint64_t handler_end_ns = FlightRecorder::NowNs();
-        const uint64_t handler_ns = handler_end_ns - handler_begin_ns;
-        const uint64_t store_ns = trace->store_ns - store_before_ns;
-        trace->service_ns += handler_ns > store_ns ? handler_ns - store_ns : 0;
-        trace->span.end_ns = handler_end_ns;
-      }
-      if (closing) {
-        break;
-      }
-    }
-    if (!replies.empty()) {
-      const uint64_t flush_begin_ns = touched.empty() ? 0 : FlightRecorder::NowNs();
-      FlushReplies(*socket, replies, batch_limit);
-      if (!touched.empty()) {
-        // Charge the batch's reply flush to every traced request it served;
-        // the intervals overlap, which the timeline's union-based attribution
-        // handles (replies for concurrent requests really do share syscalls).
-        const uint64_t flush_end_ns = FlightRecorder::NowNs();
-        for (uint32_t request_id : touched) {
-          auto it = traces.find(request_id);
-          if (it == traces.end()) {
-            continue;
-          }
-          it->second.reply_ns += flush_end_ns - flush_begin_ns;
-          if (it->second.reply_start_ns == 0) {
-            it->second.reply_start_ns = flush_begin_ns;
-          }
-          it->second.span.end_ns = flush_end_ns;
-        }
-      }
-    }
-    // Bound span-aggregation memory the same way `writes` is bounded: once
-    // the map outgrows the in-flight window, ship everything except the
-    // requests this batch touched (they may still be receiving datagrams).
-    if (traces.size() > 32) {
-      for (auto it = traces.begin(); it != traces.end();) {
-        if (std::find(touched.begin(), touched.end(), it->first) == touched.end()) {
-          submit_trace(it->second);
-          it = traces.erase(it);
-        } else {
-          ++it;
-        }
+    for (const auto& [handle, request_id] : touched) {
+      auto it = sessions.find(handle);
+      if (it != sessions.end()) {  // else closed later in this batch
+        it->second.EndBatch(handle, request_id, flush_begin_ns, flush_end_ns, touched);
       }
     }
   }
   submit_all_traces();
+}
+
+void UdpAgentServer::HandleControl(Shard* shard, SessionTable& sessions, const Message& request,
+                                   const UdpEndpoint& client,
+                                   std::vector<OutgoingDatagram>& replies) {
+  Message reply;
+  reply.request_id = request.request_id;
+  switch (request.type) {
+    case MessageType::kOpen: {
+      reply.type = MessageType::kOpenReply;
+      // A retransmitted OPEN (its reply was lost) gets the handle the first
+      // copy opened rather than a second, orphaned one.
+      auto retry = std::find_if(sessions.begin(), sessions.end(), [&](const auto& entry) {
+        return entry.second.opener == client &&
+               entry.second.open_request_id == request.request_id;
+      });
+      if (retry != sessions.end()) {
+        reply.handle = retry->first;
+        reply.data_port = port_;
+        reply.size = core_->Stat(retry->first).value_or(0);
+        break;
+      }
+      auto opened = core_->Open(request.object_name, request.open_flags);
+      if (!opened.ok()) {
+        reply.status_code = static_cast<uint32_t>(opened.code());
+        break;
+      }
+      // The session lives on this shard; the client keeps talking to the
+      // well-known port from the same socket, so its datagrams come back here.
+      Session& session = sessions[opened->handle];
+      session.opener = client;
+      session.open_request_id = request.request_id;
+      shard->sessions.fetch_add(1, std::memory_order_relaxed);
+      reply.handle = opened->handle;
+      reply.data_port = port_;
+      reply.size = opened->size;
+      break;
+    }
+    case MessageType::kStats: {
+      Metrics().stats_requests->Increment();
+      // The full registry, packetized: STATS_REPLY is a bulk reply family,
+      // so a many-KiB snapshot ships as a seq/total train instead of being
+      // truncated to one datagram.
+      const std::string text = MetricRegistry::Global().RenderText();
+      for (const Message& packet : SplitIntoPackets(MessageType::kStatsReply, 0,
+                                                    request.request_id, 0,
+                                                    BufferSlice::CopyOf(text))) {
+        QueueReply(replies, client, packet, request.tx_ts_us);
+      }
+      return;
+    }
+    case MessageType::kTrace: {
+      Metrics().trace_requests->Increment();
+      // `size` carries the trace-id filter (0 = all recent spans).
+      const std::vector<Span> spans = SpanStore::Global().Snapshot(request.size);
+      for (const Message& packet :
+           SplitIntoPackets(MessageType::kTraceReply, 0, request.request_id, 0,
+                            BufferSlice::FromVector(SerializeSpans(spans)))) {
+        QueueReply(replies, client, packet, request.tx_ts_us);
+      }
+      return;
+    }
+    case MessageType::kRemove: {
+      Status status = core_->Remove(request.object_name);
+      reply.type = status.ok() ? MessageType::kRemoveAck : MessageType::kError;
+      reply.status_code = static_cast<uint32_t>(status.code());
+      break;
+    }
+    case MessageType::kScrub: {
+      reply.type = MessageType::kScrubReply;
+      auto report = core_->Scrub(request.object_name);
+      if (!report.ok()) {
+        reply.status_code = static_cast<uint32_t>(report.code());
+        break;
+      }
+      reply.size = report->blocks_checked;
+      // Payload: (u64 offset, u64 length) per corrupt range, then a u8
+      // truncation flag. Clip to one datagram; the client re-scrubs after
+      // repairing what fit.
+      constexpr size_t kMaxRanges = (kMaxPacketPayload - 1) / 16;
+      const size_t count = std::min(report->corrupt_ranges.size(), kMaxRanges);
+      WireWriter w(count * 16 + 1);
+      for (size_t i = 0; i < count; ++i) {
+        w.PutU64(report->corrupt_ranges[i].offset);
+        w.PutU64(report->corrupt_ranges[i].length);
+      }
+      const bool truncated = report->truncated || count < report->corrupt_ranges.size();
+      w.PutU8(truncated ? 1 : 0);
+      reply.payload = BufferSlice::FromVector(w.Take());
+      break;
+    }
+    default:
+      return;  // a reply or mediator type sent to an agent: ignore
+  }
+  QueueReply(replies, client, reply, request.tx_ts_us);
+}
+
+bool UdpAgentServer::HandleSessionRequest(Session& session, const Message& m,
+                                          const UdpSocket::ReceivedDatagram& datagram,
+                                          uint32_t shard_tag,
+                                          std::vector<OutgoingDatagram>& replies,
+                                          TouchedList& touched) {
+  const uint32_t handle = m.handle;
+  const UdpEndpoint& client = datagram.from;
+  RequestTrace* trace = nullptr;
+  uint64_t handler_begin_ns = 0;
+  uint64_t store_before_ns = 0;
+  if (m.trace.sampled() && GetTraceMode() != TraceMode::kOff) {
+    handler_begin_ns = FlightRecorder::NowNs();
+    auto [slot, fresh] = session.traces.try_emplace(m.request_id);
+    trace = &slot->second;
+    if (fresh) {
+      trace->span = NewServerSpan(m, shard_tag,
+                                  datagram.recv_ns != 0 ? datagram.recv_ns : handler_begin_ns);
+    }
+    if (datagram.recv_ns != 0 && handler_begin_ns > datagram.recv_ns) {
+      trace->recv_wait_ns += handler_begin_ns - datagram.recv_ns;
+    }
+    if (trace->service_start_ns == 0) {
+      trace->service_start_ns = handler_begin_ns;
+    }
+    store_before_ns = trace->store_ns;
+    touched.emplace_back(handle, m.request_id);
+  }
+  // Times one backing-store call into the request's span, if it is traced.
+  auto timed_store = [trace](auto&& call) {
+    const uint64_t begin_ns = trace != nullptr ? FlightRecorder::NowNs() : 0;
+    auto result = call();
+    if (trace != nullptr) {
+      trace->store_ns += FlightRecorder::NowNs() - begin_ns;
+      if (trace->store_start_ns == 0) {
+        trace->store_start_ns = begin_ns;
+      }
+    }
+    return result;
+  };
+  auto commit_if_complete = [&](PendingWrite& pending) {
+    if (!pending.reassembler->complete() || pending.committed) {
+      return;
+    }
+    const auto service_start = std::chrono::steady_clock::now();
+    Status status = timed_store(
+        [&] { return core_->Write(handle, pending.offset, pending.reassembler->data()); });
+    Metrics().write_service_us->Record(ElapsedUs(service_start));
+    if (status.ok()) {
+      pending.committed = true;
+      QueueReply(replies, client, ReplyTo(m, MessageType::kWriteAck), m.tx_ts_us);
+    } else {
+      QueueReply(replies, client, ErrorReply(m, status), m.tx_ts_us);
+    }
+  };
+
+  bool closed = false;
+  switch (m.type) {
+    case MessageType::kReadReq: {
+      // One DATA packet per request, served immediately.
+      const auto service_start = std::chrono::steady_clock::now();
+      auto data = timed_store([&] { return core_->Read(handle, m.offset, m.read_length); });
+      Metrics().read_service_us->Record(ElapsedUs(service_start));
+      if (!data.ok()) {
+        QueueReply(replies, client, ErrorReply(m, data.status()), m.tx_ts_us);
+        break;
+      }
+      Message reply = ReplyTo(m, MessageType::kData);
+      reply.seq = m.seq;
+      reply.total = m.total;
+      reply.offset = m.offset;
+      reply.payload = std::move(*data);
+      QueueReply(replies, client, reply, m.tx_ts_us);
+      break;
+    }
+    case MessageType::kWriteReq: {
+      auto it = session.writes.find(m.request_id);
+      if (it == session.writes.end()) {
+        PendingWrite pending;
+        pending.offset = m.offset;
+        pending.reassembler =
+            std::make_unique<Reassembler>(m.request_id, m.offset, m.read_length, m.total);
+        it = session.writes.emplace(m.request_id, std::move(pending)).first;
+      }
+      if (m.window == 1) {  // query
+        if (it->second.reassembler->complete()) {
+          commit_if_complete(it->second);
+          if (it->second.committed) {
+            QueueReply(replies, client, ReplyTo(m, MessageType::kWriteAck), m.tx_ts_us);
+          }
+        } else {
+          Message nack = ReplyTo(m, MessageType::kWriteNack);
+          nack.missing_seqs = it->second.reassembler->MissingSeqs();
+          QueueReply(replies, client, nack, m.tx_ts_us);
+        }
+      }
+      break;
+    }
+    case MessageType::kWriteData: {
+      auto it = session.writes.find(m.request_id);
+      if (it == session.writes.end()) {
+        break;  // data before announce: client's query will resynchronize
+      }
+      if (it->second.reassembler->Accept(m).ok()) {
+        commit_if_complete(it->second);
+      }
+      // Bound session memory: drop committed requests once a newer request
+      // id appears (duplicated ACKs are regenerated from the query path).
+      if (session.writes.size() > 8) {
+        std::erase_if(session.writes, [&](const auto& entry) {
+          return entry.second.committed && entry.first != m.request_id;
+        });
+      }
+      break;
+    }
+    case MessageType::kStat: {
+      auto size = core_->Stat(handle);
+      if (!size.ok()) {
+        QueueReply(replies, client, ErrorReply(m, size.status()), m.tx_ts_us);
+        break;
+      }
+      Message reply = ReplyTo(m, MessageType::kStatReply);
+      reply.size = *size;
+      QueueReply(replies, client, reply, m.tx_ts_us);
+      break;
+    }
+    case MessageType::kTruncate: {
+      Status status = core_->Truncate(handle, m.size);
+      QueueReply(replies, client,
+                 status.ok() ? ReplyTo(m, MessageType::kTruncateAck) : ErrorReply(m, status),
+                 m.tx_ts_us);
+      break;
+    }
+    case MessageType::kClose: {
+      QueueReply(replies, client, ReplyTo(m, MessageType::kCloseAck), m.tx_ts_us);
+      (void)core_->Close(handle);
+      closed = true;
+      break;
+    }
+    default:
+      break;
+  }
+  if (trace != nullptr) {
+    const uint64_t handler_end_ns = FlightRecorder::NowNs();
+    const uint64_t handler_ns = handler_end_ns - handler_begin_ns;
+    const uint64_t store_ns = trace->store_ns - store_before_ns;
+    trace->service_ns += handler_ns > store_ns ? handler_ns - store_ns : 0;
+    trace->span.end_ns = handler_end_ns;
+  }
+  return closed;
 }
 
 }  // namespace swift

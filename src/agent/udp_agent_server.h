@@ -1,21 +1,17 @@
-// The real-socket storage agent: the paper's §3.1 server, faithfully — now
-// scaled across cores.
+// The real-socket storage agent: the paper's §3.1 server, except that an
+// open file gets an entry in a shard's session table instead of a private
+// port and a thread of its own: the shards already split protocol work
+// across cores by connection, so a thread per file adds only threads
+// (DESIGN.md §13).
 //
-// "Each Swift storage agent waits for open requests on a well-known ip
-//  port. When an open request is received, a new (secondary) thread of
-//  control is established along with a private port for further
-//  communication about that file with the client. This thread remains
-//  active and the communications channel remains open until the file is
-//  closed by the client; the primary thread always continues to await new
-//  open requests."
-//
-// Scale-out: the well-known port is served by `Options::shards` SO_REUSEPORT
-// listener sockets, one drain thread per shard, each owning its own receive
-// arena (inside its UdpSocket), its own session list, and its own metric
-// shard — the kernel's flow hash spreads clients across shards and the hot
-// path never crosses cores. Shard and session loops move datagrams in
-// recvmmsg/sendmmsg batches (Options::socket_batch; 1 = the per-datagram
-// baseline). Wire format and session behaviour are unchanged:
+// The well-known port is served by `Options::shards` SO_REUSEPORT sockets,
+// one loop thread each, and a shard's loop serves every datagram it gets.
+// The shard that accepts an OPEN holds the session and names the well-known
+// port as OPEN_REPLY's data_port. The client sends a session's datagrams
+// from one socket, so the kernel's 4-tuple hash keeps them on that shard; a
+// datagram naming a handle the shard does not hold is dropped as if lost.
+// Loops move datagrams in recvmmsg/sendmmsg batches (Options::socket_batch;
+// 1 = the per-datagram baseline). The session protocol is the paper's:
 //
 //   * READ_REQ → one DATA packet per request; "the storage agents fulfilled
 //     the packet requests as soon as they were received". No agent-side read
@@ -27,8 +23,7 @@
 //     the packets it receives against the packets it was expecting and
 //     either acknowledges receipt of all packets or sends requests for
 //     packets lost."
-//   * CLOSE → CLOSE_ACK; "the storage agents release the ports and
-//     extinguish the threads dedicated to handling requests on that file."
+//   * CLOSE → CLOSE_ACK; the handle and its table entry are released.
 
 #ifndef SWIFT_SRC_AGENT_UDP_AGENT_SERVER_H_
 #define SWIFT_SRC_AGENT_UDP_AGENT_SERVER_H_
@@ -36,7 +31,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -56,16 +50,16 @@ class UdpAgentServer {
     // Outgoing loss injection for recovery tests.
     double loss_probability = 0;
     uint64_t loss_seed = 1;
-    // Fault-injection director installed on every server socket — the
-    // well-known-port shards and each per-session socket (see
-    // src/agent/chaos.h). Nullptr = no chaos.
+    // Fault-injection director installed on every shard socket, so it sees
+    // control and data traffic alike (see src/agent/chaos.h). Nullptr = no
+    // chaos.
     std::shared_ptr<ChaosDirector> chaos;
-    // SO_REUSEPORT listener sockets on the well-known port, one drain thread
-    // (and receive arena, session list, metric shard) each. 1 = the classic
-    // single primary thread. If the platform cannot deliver the full count,
-    // the server degrades to however many sockets it could bind.
+    // SO_REUSEPORT listener sockets on the well-known port, one loop thread
+    // (and receive arena, session table, metric shard) each. 1 = a single
+    // thread serves the whole agent. If the platform cannot deliver the full
+    // count, the server degrades to however many sockets it could bind.
     uint32_t shards = 1;
-    // Datagrams moved per socket syscall in the shard and session loops
+    // Datagrams moved per socket syscall in the shard loops
     // (recvmmsg/sendmmsg). 1 = the per-datagram baseline.
     uint32_t socket_batch = 16;
   };
@@ -74,41 +68,47 @@ class UdpAgentServer {
   UdpAgentServer(StorageAgentCore* core, Options options);
   ~UdpAgentServer();
 
-  // Binds the well-known port (all shards) and starts the drain threads.
+  // Binds the well-known port (all shards) and starts the loop threads.
   Status Start();
   // Stops all threads and closes all ports. Idempotent.
   void Stop();
 
   uint16_t port() const { return port_; }
-  size_t active_session_count();
+  // Open handles across all shards.
+  size_t active_session_count() const;
 
-  // Well-known-port datagrams handled per shard since Start() — the
+  // Datagrams (control and data) handled per shard since Start() — the
   // SO_REUSEPORT distribution, for tests and tooling. Index = shard.
   std::vector<uint64_t> shard_datagram_counts() const;
   size_t shard_count() const { return shards_.size(); }
 
  private:
-  struct Session {
-    std::unique_ptr<UdpSocket> socket;
-    std::thread thread;
-  };
+  // One open handle's write reassembly and span aggregation (defined in the
+  // .cc). Lives in the session table of the shard that opened it.
+  struct Session;
+  using SessionTable = std::map<uint32_t, Session>;  // keyed by handle
+  // (handle, request id) of each traced request a receive batch served.
+  using TouchedList = std::vector<std::pair<uint32_t, uint32_t>>;
 
-  // One SO_REUSEPORT listener: socket + drain thread + private session list
-  // + its slice of the metrics. Nothing here is touched by another shard.
+  // One SO_REUSEPORT listener: socket + loop thread + its slice of the
+  // metrics. Its session table is a local of its loop, so no other thread
+  // can reach it.
   struct Shard {
     uint32_t index = 0;
     UdpSocket socket;
     std::thread thread;
     std::atomic<uint64_t> datagrams{0};
+    std::atomic<size_t> sessions{0};        // entries in the loop's session table
     Counter* registry_datagrams = nullptr;  // swift_agent_shard<i>_datagrams_total
-    std::mutex sessions_mutex;
-    std::vector<std::unique_ptr<Session>> sessions;
   };
 
   void ShardLoop(Shard* shard);
-  void SessionLoop(UdpSocket* socket, uint32_t handle, uint32_t shard_index);
-  void HandleOpen(Shard* shard, const Message& request, const UdpEndpoint& client,
-                  std::vector<OutgoingDatagram>& replies);
+  void HandleControl(Shard* shard, SessionTable& sessions, const Message& request,
+                     const UdpEndpoint& client, std::vector<OutgoingDatagram>& replies);
+  // Serves one data-path request on `session`; true once it was a CLOSE.
+  bool HandleSessionRequest(Session& session, const Message& m,
+                            const UdpSocket::ReceivedDatagram& datagram, uint32_t shard_tag,
+                            std::vector<OutgoingDatagram>& replies, TouchedList& touched);
 
   StorageAgentCore* core_;
   Options options_;

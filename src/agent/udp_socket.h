@@ -129,8 +129,8 @@ class UdpSocket {
   // The datagram is received into a shared arena block and returned as a
   // slice; decoded payloads may alias it indefinitely (the block lives until
   // the last slice drops). Single consumer: RecvFrom must not be called
-  // concurrently from two threads (it never is — one reactor/session thread
-  // owns each socket's receive side).
+  // concurrently from two threads (it never is — one reactor or shard loop
+  // thread owns each socket's receive side).
   //
   // With a ChaosDirector installed the datagram is first classified: dropped
   // datagrams are consumed silently, delayed ones are held inside the socket

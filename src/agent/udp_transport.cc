@@ -1105,7 +1105,7 @@ class UdpTransport::Reactor {
     }
     session->socket.SetChaos(transport_->options_.chaos);
     // Speak to the well-known port first; an OPEN reply retargets the
-    // session to its private port.
+    // session to the data_port it names.
     session->agent = UdpEndpoint::Loopback(transport_->agent_port_);
     return session;
   }

@@ -100,7 +100,7 @@ class AgentTransport {
   // Sets the agent file's size.
   virtual Status Truncate(uint32_t handle, uint64_t size) = 0;
 
-  // Releases the handle (and, on the wire, the session port and thread).
+  // Releases the handle (and, on the wire, its agent-side session entry).
   virtual Status Close(uint32_t handle) = 0;
 
   // Deletes this agent's backing file for `object_name` (no handle: removal

@@ -1,6 +1,10 @@
 #include "src/core/object_directory.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 
 namespace swift {
@@ -115,15 +119,34 @@ Status ObjectDirectory::SaveToFile(const std::string& path) const {
       out << '\n';
     }
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  // Atomic replace: write and fsync `<path>.tmp`, rename it over `path`,
+  // then fsync the parent directory so the rename itself is durable. A crash
+  // or failure at any step leaves either the old file or the new one, never
+  // a torn mix; `path` is only ever replaced by a fully written file.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
   if (f == nullptr) {
-    return IoError("cannot write directory file '" + path + "'");
+    return IoError("cannot write directory file '" + tmp + "'");
   }
   const std::string text = out.str();
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const int close_result = std::fclose(f);
-  if (written != text.size() || close_result != 0) {
-    return IoError("short write to directory file '" + path + "'");
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+                       std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::remove(tmp.c_str());
+    return IoError("short write to directory file '" + tmp + "'");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return IoError("cannot replace directory file '" + path + "'");
+  }
+  const std::string parent = std::filesystem::path(path).parent_path().string();
+  const int dir = ::open(parent.empty() ? "." : parent.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool synced = dir >= 0 && ::fsync(dir) == 0;
+  if (dir >= 0) {
+    ::close(dir);
+  }
+  if (!synced) {
+    return IoError("cannot sync the directory holding '" + path + "'");
   }
   return OkStatus();
 }

@@ -47,7 +47,9 @@ class ObjectDirectory {
   size_t object_count() const;
 
   // Flat-file persistence (one record per line; see object_directory.cc for
-  // the format). Load replaces current contents.
+  // the format). Save replaces `path` atomically (temp file, fsync, rename,
+  // directory fsync): on failure `path` keeps its old contents. Load
+  // replaces current contents.
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
 

@@ -1,8 +1,10 @@
 // Wire format of the Swift light-weight data transfer protocol.
 //
 // The prototype's protocol (§3.1) runs over UDP. Each storage agent listens
-// for OPEN requests on a well-known port; each open file gets a private port
-// and a dedicated secondary thread on the agent. Reads are client-driven
+// for OPEN requests on a well-known port; OPEN_REPLY names the data_port for
+// the rest of the session. §3.1 gave each open file a private port and
+// thread; this agent names its well-known port and serves the session on the
+// shard that accepted the OPEN (udp_agent_server.h). Reads are client-driven
 // (the client requests packets and keeps enough state to re-request lost
 // ones — no acknowledgements needed); writes are streamed by the client and
 // the agent either ACKs all packets or NACKs the missing ones.
@@ -92,13 +94,13 @@ inline constexpr uint16_t kDefaultMediatorPort = 4750;
 
 enum class MessageType : uint8_t {
   kOpen = 1,        // client → agent (well-known port): open/create a store file
-  kOpenReply = 2,   // agent → client: status, handle, private port, size
+  kOpenReply = 2,   // agent → client: status, handle, data_port, size
   kReadReq = 3,     // client → agent: request packets of [offset, offset+len)
   kData = 4,        // agent → client: one packet of read data
   kWriteData = 5,   // client → agent: one packet of write data
   kWriteAck = 6,    // agent → client: all packets of request received & stored
   kWriteNack = 7,   // agent → client: list of missing seqs, please resend
-  kClose = 8,       // client → agent: release handle and private port
+  kClose = 8,       // client → agent: release the handle and its session
   kCloseAck = 9,    // agent → client
   kStat = 10,       // client → agent: query stored size
   kStatReply = 11,  // agent → client
@@ -163,7 +165,7 @@ struct Message {
   // Type-specific fields (unused ones stay zero/empty).
   std::string object_name;            // kOpen
   uint32_t open_flags = 0;            // kOpen
-  uint16_t data_port = 0;             // kOpenReply: private port for the session
+  uint16_t data_port = 0;             // kOpenReply: port for the session's I/O
   uint64_t size = 0;                  // kOpenReply/kStatReply/kTruncate: object size
   uint32_t status_code = 0;           // kOpenReply/kError: 0 = OK, else StatusCode
   std::vector<uint16_t> missing_seqs; // kWriteNack

@@ -102,8 +102,8 @@ class FlightRecorder {
 void SetTraceNodeId(uint32_t node);
 uint32_t TraceNodeId();
 
-// Per-thread shard tag for flight-recorder events (and server spans). Shard
-// and session threads of a sharded agent set it once at thread start.
+// Per-thread shard tag for flight-recorder events (and server spans). Each
+// shard loop thread of a sharded agent sets it once at thread start.
 void SetThreadTraceShard(uint32_t shard);
 uint32_t ThreadTraceShard();
 

@@ -2,6 +2,10 @@
 // policy, load sharing, and the object directory.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
 
 #include "src/core/object_directory.h"
 #include "src/core/storage_mediator.h"
@@ -495,6 +499,52 @@ TEST(ObjectDirectoryTest, SaveLoadRoundTrip) {
   auto loaded_beta = loaded.Lookup("beta");
   ASSERT_TRUE(loaded_beta.ok());
   EXPECT_EQ(loaded_beta->agent_ids, (std::vector<uint32_t>{5, 6, 7}));
+}
+
+TEST(ObjectDirectoryTest, SaveReplacesTheFileAtomically) {
+  // Save writes a new file and renames it over the old one instead of
+  // truncating the live file in place: a hard link to the old file keeps
+  // the old bytes, and no temp file is left behind.
+  const std::string path = ::testing::TempDir() + "/swift_directory_atomic.txt";
+  const std::string link = path + ".old";
+  std::remove(link.c_str());
+  ObjectDirectory before;
+  ASSERT_TRUE(before.Create(SampleMetadata("old")).ok());
+  ASSERT_TRUE(before.SaveToFile(path).ok());
+  ASSERT_EQ(::link(path.c_str(), link.c_str()), 0);
+
+  ObjectDirectory after;
+  ASSERT_TRUE(after.Create(SampleMetadata("new")).ok());
+  ASSERT_TRUE(after.SaveToFile(path).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  ObjectDirectory saved;
+  ASSERT_TRUE(saved.LoadFromFile(path).ok());
+  EXPECT_TRUE(saved.Exists("new"));
+  EXPECT_FALSE(saved.Exists("old"));
+  ObjectDirectory linked;
+  ASSERT_TRUE(linked.LoadFromFile(link).ok());
+  EXPECT_TRUE(linked.Exists("old"));
+  EXPECT_FALSE(linked.Exists("new"));
+  std::remove(link.c_str());
+}
+
+TEST(ObjectDirectoryTest, FailedSaveLeavesTheFileUntouched) {
+  const std::string path = ::testing::TempDir() + "/swift_directory_keep.txt";
+  ObjectDirectory original;
+  ASSERT_TRUE(original.Create(SampleMetadata("kept")).ok());
+  ASSERT_TRUE(original.SaveToFile(path).ok());
+  // A directory squatting on the temp name makes the save fail before the
+  // rename: the old file must survive as it was.
+  std::filesystem::create_directory(path + ".tmp");
+  ObjectDirectory replacement;
+  ASSERT_TRUE(replacement.Create(SampleMetadata("lost")).ok());
+  EXPECT_EQ(replacement.SaveToFile(path).code(), StatusCode::kIoError);
+  std::filesystem::remove(path + ".tmp");
+  ObjectDirectory loaded;
+  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  EXPECT_TRUE(loaded.Exists("kept"));
+  EXPECT_FALSE(loaded.Exists("lost"));
 }
 
 TEST(ObjectDirectoryTest, LoadRejectsGarbage) {

@@ -705,7 +705,7 @@ TEST(LossyCorruptStressTest, EndToEndOverUdp) {
   EXPECT_TRUE(summary->clean());
 
   // CLOSE is fire-and-mostly-forget under loss: the agent acks and retires
-  // the session port, so a dropped final ack is unrecoverable by retry. The
+  // the session, so a dropped final ack is unrecoverable by retry. The
   // handle is released either way (close(2) semantics) — only a genuinely
   // unreachable agent is a failure here.
   const Status closed = (*file)->Close();

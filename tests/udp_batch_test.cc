@@ -2,13 +2,17 @@
 // semantics at the socket layer (batch boundaries, arena refills under
 // pinned slices, partial sendmmsg completion, MSG_TRUNC surfacing) and the
 // SO_REUSEPORT sharded agent server end to end — including lossy striped
-// transfers and the per-datagram (batch=1) fallback staying wire-compatible.
+// transfers, the per-datagram (batch=1) fallback staying wire-compatible, and
+// the session contract: every datagram of a session is served by the shard
+// that accepted its OPEN, on the well-known port, with no thread per file.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/agent/backing_store.h"
@@ -18,6 +22,7 @@
 #include "src/agent/udp_transport.h"
 #include "src/core/object_directory.h"
 #include "src/core/swift_file.h"
+#include "src/proto/message.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 
@@ -300,6 +305,155 @@ TEST(UdpShardTest, ShardedServerSurvivesHeavyLoss) {
   EXPECT_GT(transport.retransmissions(), 0u);
 }
 
+TEST(UdpShardTest, CollidingRequestIdsStayPerHandle) {
+  // Every UdpTransport numbers its requests from 1, so two clients running
+  // the same op sequence send the same request ids to the one shard serving
+  // both. Write reassembly is keyed per handle: with loss on both sides
+  // (NACKs, queries and retransmits in play) each reads back its own bytes.
+  AgentUnderTest agent(UdpAgentServer::Options{
+      .port = 0, .loss_probability = 0.1, .loss_seed = 5, .shards = 1});
+  constexpr int kWrites = 4;
+  constexpr size_t kUnit = 6 * kMaxPacketPayload;  // multi-packet writes
+  std::vector<std::vector<uint8_t>> read_back(2);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      UdpTransport::Options options;
+      options.loss_probability = 0.1;
+      options.loss_seed = 50 + static_cast<uint64_t>(c);
+      options.max_retries = 12;
+      UdpTransport transport(agent.server.port(), options);
+      auto opened = transport.Open("collide" + std::to_string(c), kOpenCreate);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      for (int w = 0; w < kWrites; ++w) {
+        const std::vector<uint8_t> unit = Pattern(kUnit, 100 * c + w);
+        ASSERT_TRUE(transport.Write(opened->handle, w * kUnit, unit).ok());
+      }
+      auto read = transport.Read(opened->handle, 0, kWrites * kUnit);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      read_back[c].assign(read->begin(), read->end());
+    });
+  }
+  for (auto& client : clients) {
+    client.join();
+  }
+  for (int c = 0; c < 2; ++c) {
+    std::vector<uint8_t> expected;
+    for (int w = 0; w < kWrites; ++w) {
+      const std::vector<uint8_t> unit = Pattern(kUnit, 100 * c + w);
+      expected.insert(expected.end(), unit.begin(), unit.end());
+    }
+    EXPECT_EQ(read_back[c], expected) << "client " << c;
+  }
+}
+
+TEST(UdpShardTest, OpenReplyNamesTheWellKnownPortAndUnknownHandlesAreDropped) {
+  AgentUnderTest agent(UdpAgentServer::Options{.port = 0, .shards = 4});
+  UdpSocket client;
+  ASSERT_TRUE(client.BindLoopback().ok());
+  const UdpEndpoint agent_port = UdpEndpoint::Loopback(agent.server.port());
+  uint32_t next_id = 1;
+  auto send = [&](Message request) {
+    request.request_id = next_id++;
+    ASSERT_TRUE(client.SendTo(agent_port, request.Encode()).ok());
+  };
+  auto receive = [&]() -> Message {
+    auto received = client.RecvFrom(5000);
+    EXPECT_TRUE(received.ok()) << received.status().ToString();
+    if (!received.ok()) {
+      return Message{};
+    }
+    auto reply = Message::Decode(received->data);
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? *reply : Message{};
+  };
+  auto request = [](MessageType type, uint32_t handle) {
+    Message m;
+    m.type = type;
+    m.handle = handle;
+    m.read_length = 16;
+    return m;
+  };
+  auto open = [&](const std::string& name) -> Message {
+    Message m = request(MessageType::kOpen, 0);
+    m.object_name = name;
+    m.open_flags = kOpenCreate;
+    send(m);
+    return receive();
+  };
+
+  const Message live = open("live");
+  ASSERT_EQ(live.type, MessageType::kOpenReply);
+  ASSERT_EQ(live.status_code, 0u);
+  EXPECT_EQ(live.data_port, agent.server.port());
+  // A retransmitted OPEN (same socket, same request id) gets the same
+  // handle back instead of opening an orphan.
+  Message again = request(MessageType::kOpen, 0);
+  again.object_name = "live";
+  again.open_flags = kOpenCreate;
+  again.request_id = live.request_id;
+  ASSERT_TRUE(client.SendTo(agent_port, again.Encode()).ok());
+  const Message retried = receive();
+  EXPECT_EQ(retried.type, MessageType::kOpenReply);
+  EXPECT_EQ(retried.handle, live.handle);
+  EXPECT_EQ(agent.server.active_session_count(), 1u);
+  EXPECT_EQ(agent.core.open_handle_count(), 1u);
+  const Message doomed = open("doomed");
+  ASSERT_EQ(doomed.type, MessageType::kOpenReply);
+  EXPECT_EQ(doomed.data_port, agent.server.port());
+  EXPECT_EQ(agent.server.active_session_count(), 2u);
+
+  send(request(MessageType::kClose, doomed.handle));
+  EXPECT_EQ(receive().type, MessageType::kCloseAck);
+  EXPECT_EQ(agent.server.active_session_count(), 1u);
+
+  // One client socket means one shard, and that shard answers in arrival
+  // order: if a reply to either stale READ_REQ existed it would arrive before
+  // the live handle's STAT_REPLY.
+  send(request(MessageType::kReadReq, doomed.handle));
+  send(request(MessageType::kReadReq, live.handle + doomed.handle + 1000));  // never opened
+  send(request(MessageType::kStat, live.handle));
+  const uint32_t stat_id = next_id - 1;
+  const Message stat = receive();
+  EXPECT_EQ(stat.type, MessageType::kStatReply);
+  EXPECT_EQ(stat.request_id, stat_id);
+  EXPECT_EQ(stat.handle, live.handle);
+
+  send(request(MessageType::kReadReq, live.handle));
+  const Message data = receive();
+  EXPECT_EQ(data.type, MessageType::kData);
+  EXPECT_EQ(data.handle, live.handle);
+}
+
+size_t ThreadCount() {
+  size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(UdpShardTest, OpenFilesAddNoServerThreads) {
+  // The agent runs shard_count() loop threads however many files are open:
+  // a session is a table entry on its shard, not a thread of its own.
+  AgentUnderTest agent;
+  UdpTransport transport(agent.server.port(), UdpTransport::Options{});
+  const size_t before = ThreadCount();
+  std::vector<uint32_t> handles;
+  for (int i = 0; i < 32; ++i) {
+    auto opened = transport.Open("threads" + std::to_string(i), kOpenCreate);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    handles.push_back(opened->handle);
+  }
+  EXPECT_EQ(agent.server.active_session_count(), 32u);
+  EXPECT_LT(ThreadCount(), before + 4) << "opening 32 files spawned threads";
+  for (uint32_t handle : handles) {
+    EXPECT_TRUE(transport.Close(handle).ok());
+  }
+  EXPECT_EQ(agent.server.active_session_count(), 0u);
+}
+
 TransferPlan PlanFor(const std::string& name, uint32_t agents) {
   TransferPlan plan;
   plan.object_name = name;
@@ -342,6 +496,44 @@ TEST(UdpShardTest, LossyStripedFileOverShardedAgents) {
   std::vector<uint8_t> read_back(KiB(96));
   ASSERT_TRUE((*file)->PRead(0, read_back).ok());
   EXPECT_EQ(read_back, data);
+}
+
+TEST(UdpShardTest, StripedWriteDataRidesTheShards) {
+  // Data datagrams land on the well-known port's shards, so a striped write
+  // over 4-shard agents raises the per-shard counters by at least one copy
+  // of every WRITE_DATA packet it needed.
+  constexpr uint32_t kAgents = 2;
+  std::vector<std::unique_ptr<AgentUnderTest>> agents;
+  std::vector<std::unique_ptr<UdpTransport>> transports;
+  std::vector<AgentTransport*> raw;
+  for (uint32_t i = 0; i < kAgents; ++i) {
+    agents.push_back(
+        std::make_unique<AgentUnderTest>(UdpAgentServer::Options{.port = 0, .shards = 4}));
+    transports.push_back(
+        std::make_unique<UdpTransport>(agents.back()->server.port(), UdpTransport::Options{}));
+    raw.push_back(transports.back().get());
+  }
+  auto shard_total = [&] {
+    uint64_t total = 0;
+    for (auto& agent : agents) {
+      for (uint64_t count : agent->server.shard_datagram_counts()) {
+        total += count;
+      }
+    }
+    return total;
+  };
+
+  const TransferPlan plan = PlanFor("sharded-data", kAgents);
+  ObjectDirectory directory;
+  auto file = SwiftFile::Create(plan, raw, &directory);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const std::vector<uint8_t> data = Pattern(KiB(512), 45);
+  const uint64_t before = shard_total();
+  ASSERT_TRUE((*file)->Write(data).ok());
+  const uint64_t packets_per_unit =
+      (plan.stripe.stripe_unit + kMaxPacketPayload - 1) / kMaxPacketPayload;
+  const uint64_t data_datagrams = data.size() / plan.stripe.stripe_unit * packets_per_unit;
+  EXPECT_GE(shard_total() - before, data_datagrams);
 }
 
 }  // namespace

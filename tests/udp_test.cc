@@ -1,5 +1,5 @@
 // End-to-end tests of the real-socket stack: the §3.1 protocol over actual
-// UDP on loopback — open/reply with private session ports, packet-request
+// UDP on loopback — open/reply on the agent's well-known port, packet-request
 // reads, streamed writes with ACK/NACK recovery, loss injection, dead-agent
 // detection, and the full SwiftFile striping core running over UdpTransport
 // (including parity reconstruction when a real server dies).
@@ -88,7 +88,7 @@ TEST(UdpEndToEndTest, OpenSemanticsOverTheWire) {
   EXPECT_EQ(*transport.Stat(reopened->handle), 10u);
 }
 
-TEST(UdpEndToEndTest, EachOpenGetsAPrivatePort) {
+TEST(UdpEndToEndTest, SessionsShareTheWellKnownPortIndependently) {
   AgentUnderTest agent;
   UdpTransport transport(agent.server.port(), UdpTransport::Options{});
   auto a = transport.Open("a", kOpenCreate);
@@ -100,6 +100,10 @@ TEST(UdpEndToEndTest, EachOpenGetsAPrivatePort) {
   ASSERT_TRUE(transport.Write(a->handle, 0, Pattern(100, 1)).ok());
   ASSERT_TRUE(transport.Write(b->handle, 0, Pattern(100, 2)).ok());
   EXPECT_EQ(*transport.Read(a->handle, 0, 100), Pattern(100, 1));
+  EXPECT_EQ(*transport.Read(b->handle, 0, 100), Pattern(100, 2));
+  // Closing one session leaves the other served.
+  ASSERT_TRUE(transport.Close(a->handle).ok());
+  EXPECT_EQ(agent.server.active_session_count(), 1u);
   EXPECT_EQ(*transport.Read(b->handle, 0, 100), Pattern(100, 2));
 }
 

@@ -14,8 +14,11 @@
 //               [--trace-mode=off|sampled|all] [--cc-mode=off|fixed|delay]
 //
 // --shards=N serves the well-known port with N SO_REUSEPORT listener
-// sockets, one drain thread (and receive arena, metric shard) per core;
-// the default is min(4, hardware threads). Per-shard traffic shows up as
+// sockets, one loop thread (and receive arena, session table, metric shard)
+// per core; the default is min(4, hardware threads). The shards carry the
+// data path too: every session is served by the shard that accepted its
+// OPEN, so the agent runs N server threads however many files are open.
+// Per-shard traffic, control and data datagrams alike, shows up as
 // swift_agent_shard<i>_datagrams_total in STATS / --stats-interval dumps.
 //
 // Storage stack: files under --root, wrapped in CRC-32 at-rest checksums
@@ -27,7 +30,7 @@
 // --loss/--loss-seed drop outgoing datagrams with probability P using a
 // reproducible seed. --chaos-spec scripts richer network faults — one-way
 // blackholes, partitions, delay spikes, reordering, duplication — on every
-// server socket (see src/agent/chaos.h for the grammar, e.g.
+// shard socket, so they hit control and data traffic alike (see src/agent/chaos.h for the grammar, e.g.
 // "0-3000:partition:*;5000-8000:delay:*:50"); --chaos-seed fixes its RNG.
 //
 // Runs until SIGINT/SIGTERM (or for --seconds, for scripting). Pair it with
