@@ -5,7 +5,7 @@
 // the per-byte and per-packet costs everything else builds on — plus the
 // async transport core: striped reads over real UDP sockets with the
 // per-column op window at 1 (sync-equivalent) vs 4 (pipelined), on clean and
-// lossy networks.
+// lossy networks, and the bytes a partial-row write moves.
 
 #include <benchmark/benchmark.h>
 
@@ -264,6 +264,83 @@ void BM_CopyPer4MiBRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CopyPer4MiBRead)->Unit(benchmark::kMillisecond);
+
+// Partial-row write probe: 4 KiB read-modify-writes at random 4 KiB-aligned
+// offsets of an XOR(3+1) object with 64 KiB stripe units, over in-process
+// agents so every counter is exact. Reports, per write:
+//   * wire_bytes_per_user_byte — transport payload bytes read plus written,
+//     per user byte. The floor is 4.0: the 4 KiB gather and the 4 KiB write,
+//     on the data column and on the parity column. Moving whole 64 KiB parity
+//     units costs 34.
+//   * round_trips_per_write — dependent batches (distribution-agent batch
+//     waits): one gather, one parity+data write.
+// ci.sh fails the build if wire_bytes_per_user_byte exceeds 4.5.
+void BM_PartialRowWrite4K(benchmark::State& state) {
+  constexpr uint32_t kAgents = 4;
+  constexpr uint64_t kUnit = KiB(64);
+  constexpr uint64_t kRows = 16;
+  constexpr uint64_t kWrite = KiB(4);
+  std::vector<std::unique_ptr<InMemoryBackingStore>> stores;
+  std::vector<std::unique_ptr<StorageAgentCore>> cores;
+  std::vector<std::unique_ptr<InProcTransport>> transports;
+  std::vector<AgentTransport*> raw;
+  TransferPlan plan;
+  plan.object_name = "rmw";
+  plan.stripe.num_agents = kAgents;
+  plan.stripe.stripe_unit = kUnit;
+  plan.stripe.parity = ParityMode::kRotating;
+  for (uint32_t i = 0; i < kAgents; ++i) {
+    stores.push_back(std::make_unique<InMemoryBackingStore>());
+    cores.push_back(std::make_unique<StorageAgentCore>(stores.back().get()));
+    transports.push_back(std::make_unique<InProcTransport>(cores.back().get()));
+    raw.push_back(transports.back().get());
+    plan.agent_ids.push_back(i);
+  }
+  ObjectDirectory directory;
+  auto file = SwiftFile::Create(plan, raw, &directory);
+  if (!file.ok()) {
+    state.SkipWithError(file.status().ToString().c_str());
+    return;
+  }
+  const uint64_t object_bytes = kRows * (kAgents - 1) * kUnit;
+  if (auto filled = (*file)->PWrite(0, RandomBytes(object_bytes, 3)); !filled.ok()) {
+    state.SkipWithError(filled.status().ToString().c_str());
+    return;
+  }
+
+  auto wire_bytes = [&transports] {
+    uint64_t bytes = 0;
+    for (const auto& transport : transports) {
+      const TransportStats stats = transport->stats();
+      bytes += stats.bytes_read + stats.bytes_written;
+    }
+    return bytes;
+  };
+  HistogramMetric* batches = MetricRegistry::Global().GetHistogram("swift_dist_batch_latency_us");
+  const uint64_t bytes_before = wire_bytes();
+  const uint64_t batches_before = batches->Snap().count;
+  const std::vector<uint8_t> payload = RandomBytes(kWrite, 4);
+  Rng rng(5);
+  uint64_t writes = 0;
+  for (auto _ : state) {
+    const uint64_t offset =
+        kWrite * static_cast<uint64_t>(rng.UniformInt(0, object_bytes / kWrite - 1));
+    auto n = (*file)->PWrite(offset, payload);
+    if (!n.ok()) {
+      state.SkipWithError(n.status().ToString().c_str());
+      return;
+    }
+    ++writes;
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(writes * kWrite));
+  if (writes > 0) {
+    state.counters["wire_bytes_per_user_byte"] =
+        static_cast<double>(wire_bytes() - bytes_before) / static_cast<double>(writes * kWrite);
+    state.counters["round_trips_per_write"] =
+        static_cast<double>(batches->Snap().count - batches_before) / static_cast<double>(writes);
+  }
+}
+BENCHMARK(BM_PartialRowWrite4K);
 
 }  // namespace
 }  // namespace swift

@@ -22,16 +22,18 @@ ctest --preset "${SAN_PRESET}" -j "${JOBS}"
 if [ "${SAN_PRESET}" != "tsan" ]; then
   # The lock-free metrics/flight-recorder paths, the threaded mediator
   # service loop, the integrity/fault-injection suites (checksum sidecars
-  # and read-repair run inside completion callbacks on reactor threads), and
-  # the sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e)
-  # are only meaningfully exercised under ThreadSanitizer; run just those
-  # suites so the default gate stays fast. Full build: ctest needs every
+  # and read-repair run inside completion callbacks on reactor threads), the
+  # sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e), and
+  # the partial-row write batch (parity and data completions land on
+  # transport threads, re-sends follow) are only meaningfully exercised
+  # under ThreadSanitizer; run just those suites so the default gate stays
+  # fast. Full build: ctest needs every
   # discovered test's include file.
   echo "== metrics/trace + mediator + integrity + buffer + shard + tail concurrency (tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --test-dir build-tsan \
-    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure' \
+    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite' \
     -j "${JOBS}" --output-on-failure
 fi
 
@@ -50,6 +52,28 @@ awk -v r="${RATIO}" 'BEGIN { exit !(r <= 2.5) }' \
   || { echo "FAIL: bytes_copied_ratio ${RATIO} > 2.5 (copy regression)"; exit 1; }
 echo "bytes_copied_ratio ${RATIO} (<= 2.5)"
 rm -f "${COPY_JSON}"
+
+# Partial-row write gate: a 4 KiB read-modify-write on XOR(3+1) with 64 KiB
+# units must move only the touched bytes — 4 KiB gathered and 4 KiB written on
+# the data column and on the parity column, 4.0 transport bytes per user byte
+# (budget 4.5). Read-modify-writing whole parity units costs 34. Counted at
+# the in-process transport, so the gate reads a counter, not a clock. The
+# same probe holds the write to two round trips: one gather, one write batch.
+echo "== partial-row write gate (wire_bytes_per_user_byte <= 4.5, 2 round trips) =="
+RMW_JSON="$(mktemp)"
+./build/bench/micro_benchmarks --benchmark_filter=BM_PartialRowWrite4K \
+    --benchmark_min_time=0.2 --benchmark_format=json > "${RMW_JSON}"
+RMW_BYTES="$(grep -o '"wire_bytes_per_user_byte": [0-9.e+-]*' "${RMW_JSON}" | head -1 | awk '{print $2}')"
+RMW_TRIPS="$(grep -o '"round_trips_per_write": [0-9.e+-]*' "${RMW_JSON}" | head -1 | awk '{print $2}')"
+[ -n "${RMW_BYTES}" ] && [ -n "${RMW_TRIPS}" ] \
+  || { echo "FAIL: no partial-row counters in probe output"; cat "${RMW_JSON}"; exit 1; }
+awk -v b="${RMW_BYTES}" 'BEGIN { exit !(b <= 4.5) }' \
+  || { echo "FAIL: wire_bytes_per_user_byte ${RMW_BYTES} > 4.5 (partial-row writes move untouched bytes)"; exit 1; }
+awk -v t="${RMW_TRIPS}" 'BEGIN { exit !(t <= 2.0) }' \
+  || { echo "FAIL: round_trips_per_write ${RMW_TRIPS} > 2 (partial-row write batches serialized)"; exit 1; }
+printf 'wire_bytes_per_user_byte %.2f (<= 4.5), round_trips_per_write %.2f (<= 2)\n' \
+  "${RMW_BYTES}" "${RMW_TRIPS}"
+rm -f "${RMW_JSON}"
 
 # CRC-32 kernel gate: every striped byte pays several CRC passes (wire
 # encode/decode, at-rest seal/verify), so the kernel caps the data path.

@@ -108,7 +108,7 @@ thread_local uint64_t t_parity_first_ns = 0;
 thread_local uint32_t t_parity_depth = 0;
 
 // Charges the enclosing scope for one parity section. Only the outermost
-// timer records (WriteRowParity may call ReconstructUnitInto — counting both
+// timer records (WriteRowParity may call ReconstructRange — counting both
 // would double-charge the stage).
 class ParityTimer {
  public:
@@ -1158,80 +1158,111 @@ Status SwiftFile::WriteRowParity(uint64_t row, uint64_t row_write_start, uint64_
   const uint32_t m = layout_.config().ParityUnitsPerRow();
   const ErasureCodec& codec = CodecFor(layout_.config());
 
-  // The row's live parity units (failed parity columns are simply skipped —
-  // their content is reconstructible like any other lost unit).
-  struct ParityUnit {
-    uint32_t index = 0;  // codec parity index j
-    UnitLocation loc;
-    std::vector<uint8_t> buf;
-  };
-  std::vector<ParityUnit> live_parity;
-  for (uint32_t j = 0; j < m; ++j) {
-    const UnitLocation loc = layout_.ParityLocation(row, j);
-    if (!ColumnFailed(loc.agent)) {
-      ParityUnit p;
-      p.index = j;
-      p.loc = loc;
-      p.buf.assign(unit, 0);
-      live_parity.push_back(std::move(p));
-    }
-  }
-
-  auto new_data_at = [&](uint64_t logical, uint64_t length) -> std::span<const uint8_t> {
-    return data.subspan(logical - base_offset, length);
-  };
-
-  // Partial row: read-modify-write every live parity unit.
+  // Partial row: read-modify-write of the touched bytes only.
   //   parity_j' = parity_j ^ g[j][col] ⊗ (old_data ^ new_data)
-  //
-  // Ordering matters for crash/retry consistency (the RAID write hole, here
-  // surfaced by the transient-fault retry): all reads happen first, then the
-  // parity writes, then the data writes. If the attempt dies at any point,
-  // the retry's own read-modify-write (or, for a now-failed data column, the
-  // reconstruct-and-fold path) restores the invariant "each parity unit is
-  // the codec combination of the stored data, with failed columns' virtual
-  // content defined by the code" — which is exactly what a
-  // parity-write-before-data ordering keeps self-correcting. Writing data
-  // first would let an interrupted attempt strand new data under old parity,
-  // and the retry's old==new RMW would then freeze the corruption in place.
+  // One gather round trip (old data + the touched parity ranges), an
+  // in-memory fold, then one write round trip carrying parity and data
+  // together. See DESIGN.md §7 for why no parity-before-data barrier is
+  // needed: every write is absolute and idempotent with bytes fixed by the
+  // gather, a failed write on a live column is re-sent with the same bytes,
+  // and a column that goes kUnavailable has its content defined by the code.
 
   struct Chunk {
     UnitLocation loc;
     uint32_t data_col = 0;  // codec data index of the target unit
     uint64_t offset_in_unit = 0;
     std::span<const uint8_t> new_data;
-    std::vector<uint8_t> old_data;  // gather target (live chunks)
-    bool lost = false;              // target unit is on a failed column
+    std::span<uint8_t> old_data;  // arena slot: gathered, or rebuilt if lost
+    bool lost = false;            // target unit is on a failed column
   };
   std::vector<Chunk> chunks;
-  uint64_t logical = row_write_start;
-  while (logical < row_write_end) {
+  // The in-unit ranges parity must follow: the union of the chunks' ranges.
+  // A row's chunks are [a, unit), whole units, [0, b), so the union is one
+  // range, or two when a lone head and tail chunk leave a gap between them.
+  struct Range {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+  };
+  std::vector<Range> ranges;
+  for (uint64_t logical = row_write_start; logical < row_write_end;) {
     const uint64_t offset_in_unit = logical % unit;
     const uint64_t length = std::min(unit - offset_in_unit, row_write_end - logical);
     Chunk chunk;
     chunk.loc = layout_.Locate(logical);
     chunk.data_col = layout_.DataColumnOf(logical);
     chunk.offset_in_unit = offset_in_unit;
-    chunk.new_data = new_data_at(logical, length);
+    chunk.new_data = data.subspan(logical - base_offset, length);
     chunk.lost = ColumnFailed(chunk.loc.agent);
-    chunks.push_back(std::move(chunk));
+    chunks.push_back(chunk);
+    ranges.push_back({offset_in_unit, offset_in_unit + length});
     logical += length;
   }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const Range& a, const Range& b) { return a.lo < b.lo; });
+  std::vector<Range> merged;
+  for (const Range& range : ranges) {
+    if (!merged.empty() && range.lo <= merged.back().hi) {
+      merged.back().hi = std::max(merged.back().hi, range.hi);
+    } else {
+      merged.push_back(range);
+    }
+  }
+  uint64_t range_bytes = 0;
+  for (const Range& range : merged) {
+    range_bytes += range.hi - range.lo;
+  }
 
-  // Gather phase: every live parity unit and every overwritten live range,
-  // all in one batch. A corrupt unit discovered here (old data or parity)
-  // gets the whole row repaired from reconstruction, then one re-gather —
-  // folding unverified old bytes into parity would launder the corruption
-  // into the new parity units.
-  if (!live_parity.empty()) {
+  // One touched range of one live parity unit (failed parity columns are
+  // skipped — their content is reconstructible like any other lost unit).
+  struct ParityPiece {
+    uint32_t index = 0;  // codec parity index j
+    uint32_t column = 0;
+    uint64_t agent_offset = 0;
+    uint64_t lo = 0;  // in-unit offset of buf[0]
+    std::span<uint8_t> buf;
+  };
+  std::vector<uint32_t> live_parity;
+  for (uint32_t j = 0; j < m; ++j) {
+    if (!ColumnFailed(layout_.ParityLocation(row, j).agent)) {
+      live_parity.push_back(j);
+    }
+  }
+
+  // One arena holds every parity range and every chunk's old bytes; the
+  // spans handed to the transport stay valid until the write batch drains.
+  Buffer arena =
+      Buffer::Allocate(live_parity.size() * range_bytes + (row_write_end - row_write_start));
+  size_t arena_used = 0;
+  auto take = [&](uint64_t length) {
+    std::span<uint8_t> slot = arena.span().subspan(arena_used, length);
+    arena_used += length;
+    return slot;
+  };
+  std::vector<ParityPiece> pieces;
+  for (uint32_t j : live_parity) {
+    const UnitLocation loc = layout_.ParityLocation(row, j);
+    for (const Range& range : merged) {
+      pieces.push_back({j, loc.agent, loc.agent_offset + range.lo, range.lo,
+                        take(range.hi - range.lo)});
+    }
+  }
+  for (Chunk& chunk : chunks) {
+    chunk.old_data = take(chunk.new_data.size());
+  }
+
+  // Gather: every touched live parity range and every overwritten live data
+  // range, all in one batch. A corrupt unit discovered here (old data or
+  // parity) gets the whole row repaired from reconstruction, then one
+  // re-gather — folding unverified old bytes into parity would launder the
+  // corruption into the new parity ranges.
+  if (!pieces.empty()) {
     for (int gather_attempt = 0;; ++gather_attempt) {
       OpBatch batch(&distribution_);
-      for (ParityUnit& p : live_parity) {
-        SubmitRead(batch, p.loc.agent, p.loc.agent_offset, unit, p.buf.data());
+      for (const ParityPiece& p : pieces) {
+        SubmitRead(batch, p.column, p.agent_offset, p.buf.size(), p.buf.data());
       }
-      for (Chunk& chunk : chunks) {
+      for (const Chunk& chunk : chunks) {
         if (!chunk.lost) {
-          chunk.old_data.resize(chunk.new_data.size());
           SubmitRead(batch, chunk.loc.agent, chunk.loc.agent_offset, chunk.old_data.size(),
                      chunk.old_data.data());
         }
@@ -1248,48 +1279,67 @@ Status SwiftFile::WriteRowParity(uint64_t row, uint64_t row_write_start, uint64_
     }
   }
 
-  // Fold phase (in memory, deterministic order).
-  for (Chunk& chunk : chunks) {
+  // Fold (in memory, deterministic order). A chunk whose data unit is lost
+  // lands in the live parity only, so a reconstruction of that unit yields
+  // the new contents; its old bytes come from the row's survivors.
+  for (const Chunk& chunk : chunks) {
     if (chunk.lost) {
-      // The target data unit is lost: fold the write into the live parity
-      // units only, so a reconstruction of this unit yields the new
-      // contents.
-      if (live_parity.empty()) {
+      if (pieces.empty()) {
         return DataLossError("write targets a failed agent and every parity unit is failed");
       }
-      Buffer old_unit = Buffer::Allocate(unit);
-      SWIFT_RETURN_IF_ERROR(ReconstructUnitInto(row, chunk.loc.agent, old_unit.span()));
-      const std::span<const uint8_t> old_slice(old_unit.data() + chunk.offset_in_unit,
-                                               chunk.new_data.size());
-      for (ParityUnit& p : live_parity) {
-        codec.UpdateParity(p.index, chunk.data_col, p.buf, chunk.offset_in_unit, old_slice,
-                           chunk.new_data);
-      }
-    } else {
-      for (ParityUnit& p : live_parity) {
-        codec.UpdateParity(p.index, chunk.data_col, p.buf, chunk.offset_in_unit,
+      SWIFT_RETURN_IF_ERROR(ReconstructRange(chunk.loc.agent, chunk.loc.agent_offset,
+                                             chunk.old_data.size(), chunk.old_data.data()));
+    }
+    const uint64_t chunk_end = chunk.offset_in_unit + chunk.new_data.size();
+    for (ParityPiece& p : pieces) {
+      if (chunk.offset_in_unit >= p.lo && chunk_end <= p.lo + p.buf.size()) {
+        codec.UpdateParity(p.index, chunk.data_col, p.buf, chunk.offset_in_unit - p.lo,
                            chunk.old_data, chunk.new_data);
       }
     }
   }
 
-  // Parity first, as one batch.
-  if (!live_parity.empty()) {
-    OpBatch parity_batch(&distribution_);
-    for (const ParityUnit& p : live_parity) {
-      SubmitWrite(parity_batch, p.loc.agent, p.loc.agent_offset, p.buf);
-    }
-    SWIFT_RETURN_IF_ERROR(Aggregate(parity_batch.Wait()));
+  // One write batch: parity ranges and data chunks together.
+  std::vector<PendingWrite> writes;
+  for (const ParityPiece& p : pieces) {
+    writes.push_back({p.column, p.agent_offset, p.buf});
   }
-
-  // Then the data units, as one parallel batch.
-  OpBatch batch(&distribution_);
   for (const Chunk& chunk : chunks) {
     if (!chunk.lost) {
-      SubmitWrite(batch, chunk.loc.agent, chunk.loc.agent_offset, chunk.new_data);
+      writes.push_back({chunk.loc.agent, chunk.loc.agent_offset, chunk.new_data});
     }
   }
-  return Aggregate(batch.Wait());
+  return WriteWithResend(std::move(writes));
+}
+
+Status SwiftFile::WriteWithResend(std::vector<PendingWrite> writes) {
+  // Same-bytes re-sends after the first send. Bounded: a column that keeps
+  // failing writes while staying reachable is surfaced to the caller.
+  constexpr int kMaxResends = 3;
+  Status unavailable = OkStatus();
+  for (int resend = 0;; ++resend) {
+    OpBatch batch(&distribution_);
+    for (const PendingWrite& write : writes) {
+      SubmitWrite(batch, write.column, write.agent_offset, write.bytes);
+    }
+    const std::vector<Status> statuses = batch.Wait();
+    // Keep the writes whose column failed without going away. A column
+    // holds one unit of the row, so its status covers all of its writes.
+    std::erase_if(writes, [&](const PendingWrite& write) {
+      const Status& status = statuses[write.column];
+      if (status.code() == StatusCode::kUnavailable) {
+        unavailable = status;  // SubmitWrite marked the column failed
+      }
+      return status.ok() || status.code() == StatusCode::kUnavailable;
+    });
+    if (writes.empty() || resend == kMaxResends) {
+      // kUnavailable first: WriteRange re-plans around the failed column.
+      if (!unavailable.ok()) {
+        return unavailable;
+      }
+      return writes.empty() ? OkStatus() : statuses[writes.front().column];
+    }
+  }
 }
 
 }  // namespace swift

@@ -212,10 +212,23 @@ class SwiftFile {
   uint32_t ParityBudget() const;
 
   Status WriteRange(uint64_t offset, std::span<const uint8_t> data);
-  // Partial-row read-modify-write: gather (batched reads) → parity write →
-  // data writes (batched).
+  // Partial-row read-modify-write in two round trips: one gather of the old
+  // data ranges and the touched range of each live parity unit, an in-memory
+  // fold, then one batch writing the parity ranges and the data together.
   Status WriteRowParity(uint64_t row, uint64_t row_write_start, uint64_t row_write_end,
                         uint64_t base_offset, std::span<const uint8_t> data);
+  // One absolute write of `bytes` at agent_offset on `column`.
+  struct PendingWrite {
+    uint32_t column = 0;
+    uint64_t agent_offset = 0;
+    std::span<const uint8_t> bytes;
+  };
+  // Sends `writes` (at most one row unit per column) as one batch. A write
+  // that fails on a column that stays live is re-sent with the same bytes, a
+  // bounded number of times, even when another column went kUnavailable;
+  // kUnavailable marks its column failed and is returned so WriteRange
+  // re-plans. The bytes must stay valid until the call returns.
+  Status WriteWithResend(std::vector<PendingWrite> writes);
   // Full rows: in-memory parity, every unit write of every row in one batch.
   Status WriteFullRows(const std::vector<uint64_t>& rows, uint64_t base_offset,
                        std::span<const uint8_t> data);
