@@ -23,17 +23,18 @@ if [ "${SAN_PRESET}" != "tsan" ]; then
   # The lock-free metrics/flight-recorder paths, the threaded mediator
   # service loop, the integrity/fault-injection suites (checksum sidecars
   # and read-repair run inside completion callbacks on reactor threads), the
-  # sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e), and
+  # sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e),
   # the partial-row write batch (parity and data completions land on
-  # transport threads, re-sends follow) are only meaningfully exercised
-  # under ThreadSanitizer; run just those suites so the default gate stays
-  # fast. Full build: ctest needs every
-  # discovered test's include file.
-  echo "== metrics/trace + mediator + integrity + buffer + shard + tail concurrency (tsan) =="
+  # transport threads, re-sends follow), and the row decoder behind degraded
+  # reads, rebuild and scrub (survivor reads complete and fold on pool and
+  # transport threads) are only meaningfully exercised under
+  # ThreadSanitizer; run just those suites so the default gate stays fast.
+  # Full build: ctest needs every discovered test's include file.
+  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode concurrency (tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --test-dir build-tsan \
-    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite' \
+    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode' \
     -j "${JOBS}" --output-on-failure
 fi
 

@@ -2,21 +2,76 @@
 
 #include <algorithm>
 
-#include "src/core/erasure.h"
+#include "src/core/distribution_agent.h"
+#include "src/core/row_decode.h"
 #include "src/core/stripe_layout.h"
 #include "src/proto/message.h"
+#include "src/util/buffer.h"
 
 namespace swift {
 
 namespace {
 
-// A rebuild row's decode recipe: the codec plan for the row's erased unit
-// positions plus, for each lost column, which plan target rebuilds it. The
-// rotation repeats every num_agents rows, so plans are cached per residue.
-struct RowPlan {
-  ReconstructionPlan plan;
-  std::vector<size_t> target_of_lost;
-};
+// Decodes every row of the lost columns from the survivors and writes it to
+// the replacements, then trims each replacement to its layout size. The
+// handles of every column must be open.
+Status RebuildRows(const ObjectMetadata& metadata, const std::vector<AgentTransport*>& transports,
+                   std::span<const uint32_t> handles, std::span<const uint32_t> lost_columns,
+                   RebuildReport* report) {
+  const StripeLayout layout(metadata.stripe);
+  const uint64_t unit = metadata.stripe.stripe_unit;
+  std::vector<uint64_t> target_bytes;
+  uint64_t rows = 0;
+  for (uint32_t column : lost_columns) {
+    target_bytes.push_back(layout.AgentFileSize(column, metadata.size));
+    rows = std::max(rows, (target_bytes.back() + unit - 1) / unit);
+  }
+  if (rows > 0) {
+    DistributionAgent distribution(transports);
+    RowDecoder decoder(layout, distribution, handles);
+    // One unit per lost column. The last unit of a replacement's file may be
+    // short (a partially filled trailing data unit); writing the
+    // zero-extended reconstruction and truncating at the end restores the
+    // exact size.
+    Buffer rebuilt = Buffer::Allocate(lost_columns.size() * unit);
+    std::vector<uint8_t*> outs;
+    for (size_t i = 0; i < lost_columns.size(); ++i) {
+      outs.push_back(rebuilt.data() + i * unit);
+    }
+    RowDecodeReport decoded;
+    for (uint64_t row = 0; row < rows; ++row) {
+      SWIFT_RETURN_IF_ERROR(decoder.DecodeRow(row, {}, lost_columns, outs, decoded));
+      // The row's replacement writes go out as one batch.
+      const uint64_t row_offset = row * unit;
+      uint64_t row_bytes = 0;
+      OpBatch batch(&distribution);
+      for (size_t i = 0; i < lost_columns.size(); ++i) {
+        if (row_offset >= target_bytes[i]) {
+          continue;  // this replacement's file ends before the row
+        }
+        const uint32_t column = lost_columns[i];
+        const std::span<const uint8_t> bytes(outs[i], std::min(unit, target_bytes[i] - row_offset));
+        batch.Submit(column, [&handles, column, row_offset, bytes](
+                                 AgentTransport* transport, DistributionAgent::Completion done) {
+          transport->StartWrite(handles[column], row_offset, bytes, std::move(done));
+        });
+        row_bytes += bytes.size();
+      }
+      for (const Status& status : batch.Wait()) {
+        SWIFT_RETURN_IF_ERROR(status);
+      }
+      if (row_bytes > 0) {
+        ++report->rows_rebuilt;
+        report->bytes_written += row_bytes;
+      }
+    }
+  }
+  for (size_t i = 0; i < lost_columns.size(); ++i) {
+    SWIFT_RETURN_IF_ERROR(
+        transports[lost_columns[i]]->Truncate(handles[lost_columns[i]], target_bytes[i]));
+  }
+  return OkStatus();
+}
 
 }  // namespace
 
@@ -46,108 +101,27 @@ Result<RebuildReport> RebuildColumns(const ObjectMetadata& metadata,
     }
   }
 
-  StripeLayout layout(metadata.stripe);
-  const ErasureCodec& codec = CodecFor(metadata.stripe);
-  const uint64_t unit = metadata.stripe.stripe_unit;
-  const uint32_t num_agents = metadata.stripe.num_agents;
-
-  std::vector<uint64_t> target_bytes(lost_columns.size());
-  uint64_t rows = 0;
-  for (size_t i = 0; i < lost_columns.size(); ++i) {
-    target_bytes[i] = layout.AgentFileSize(lost_columns[i], metadata.size);
-    rows = std::max(rows, (target_bytes[i] + unit - 1) / unit);
-  }
-
-  // Plans depend on the row only through the parity rotation, which repeats
-  // every num_agents rows — precompute one plan per residue (and fail before
-  // touching any file if the erasure pattern is undecodable).
-  std::vector<RowPlan> plans;
-  const uint64_t residues = std::min<uint64_t>(rows, num_agents);
-  plans.reserve(residues);
-  for (uint64_t row = 0; row < residues; ++row) {
-    std::vector<uint32_t> erased_positions(lost_columns.size());
-    for (size_t i = 0; i < lost_columns.size(); ++i) {
-      erased_positions[i] = layout.UnitPositionOf(row, lost_columns[i]);
-    }
-    std::sort(erased_positions.begin(), erased_positions.end());
-    SWIFT_ASSIGN_OR_RETURN(ReconstructionPlan plan,
-                           codec.PlanReconstruction(erased_positions));
-    RowPlan row_plan{std::move(plan), std::vector<size_t>(lost_columns.size())};
-    for (size_t i = 0; i < lost_columns.size(); ++i) {
-      const uint32_t position = layout.UnitPositionOf(row, lost_columns[i]);
-      const auto it = std::find(row_plan.plan.targets.begin(),
-                                row_plan.plan.targets.end(), position);
-      row_plan.target_of_lost[i] = static_cast<size_t>(it - row_plan.plan.targets.begin());
-    }
-    plans.push_back(std::move(row_plan));
-  }
-
-  // Open every file: survivors read-only semantics (plain open), the
-  // replacements created empty.
-  std::vector<uint32_t> handles(transports.size());
-  const auto is_lost = [&](uint32_t c) {
-    return std::find(lost_columns.begin(), lost_columns.end(), c) != lost_columns.end();
-  };
-  for (uint32_t c = 0; c < transports.size(); ++c) {
-    const uint32_t flags = is_lost(c) ? (kOpenCreate | kOpenTruncate) : kOpenCreate;
-    auto opened = transports[c]->Open(metadata.name, flags);
-    if (!opened.ok()) {
-      return opened.status();
-    }
-    handles[c] = opened->handle;
-  }
-
-  RebuildReport report;
+  // Open every file: survivors plainly, the replacements created empty.
+  // Whatever happens next, every handle opened here is closed again — an
+  // agent refuses to remove an object that still has open handles.
+  std::vector<uint32_t> handles;
   Status status = OkStatus();
-  std::vector<std::vector<uint8_t>> rebuilt(lost_columns.size());
-  for (uint64_t row = 0; row < rows && status.ok(); ++row) {
-    const uint64_t row_offset = row * unit;
-    const RowPlan& row_plan = plans[row % residues];
-    // The last unit of a failed agent's file may be short (a partially
-    // filled trailing data unit); writing the zero-extended reconstruction
-    // and truncating at the end restores the exact size.
-    for (auto& buf : rebuilt) {
-      buf.assign(unit, 0);
-    }
-    for (size_t s = 0; s < row_plan.plan.survivors.size() && status.ok(); ++s) {
-      const uint32_t agent = layout.AgentAtPosition(row, row_plan.plan.survivors[s]);
-      auto data = transports[agent]->Read(handles[agent], row_offset, unit);
-      if (!data.ok()) {
-        status = data.status();
-        break;
-      }
-      for (size_t i = 0; i < lost_columns.size(); ++i) {
-        GfMulFold(std::span<uint8_t>(rebuilt[i].data(), data->size()), *data,
-                  row_plan.plan.Coefficient(row_plan.target_of_lost[i], s));
-      }
-    }
-    if (!status.ok()) {
-      break;
-    }
-    bool wrote = false;
-    for (size_t i = 0; i < lost_columns.size() && status.ok(); ++i) {
-      if (row_offset >= target_bytes[i]) {
-        continue;  // this replacement's file ends before the row
-      }
-      const uint64_t chunk = std::min(unit, target_bytes[i] - row_offset);
-      status = transports[lost_columns[i]]->Write(
-          handles[lost_columns[i]], row_offset,
-          std::span<const uint8_t>(rebuilt[i].data(), chunk));
-      if (status.ok()) {
-        wrote = true;
-        report.bytes_written += chunk;
-      }
-    }
-    if (status.ok() && wrote) {
-      ++report.rows_rebuilt;
+  for (uint32_t c = 0; c < transports.size() && status.ok(); ++c) {
+    const bool lost =
+        std::find(lost_columns.begin(), lost_columns.end(), c) != lost_columns.end();
+    auto opened = transports[c]->Open(metadata.name,
+                                      lost ? (kOpenCreate | kOpenTruncate) : kOpenCreate);
+    if (opened.ok()) {
+      handles.push_back(opened->handle);
+    } else {
+      status = opened.status();
     }
   }
-  for (size_t i = 0; i < lost_columns.size() && status.ok(); ++i) {
-    status = transports[lost_columns[i]]->Truncate(handles[lost_columns[i]],
-                                                   target_bytes[i]);
+  RebuildReport report;
+  if (status.ok()) {
+    status = RebuildRows(metadata, transports, handles, lost_columns, &report);
   }
-
-  for (uint32_t c = 0; c < transports.size(); ++c) {
+  for (uint32_t c = 0; c < handles.size(); ++c) {
     (void)transports[c]->Close(handles[c]);
   }
   if (!status.ok()) {

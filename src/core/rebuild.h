@@ -10,8 +10,13 @@
 // columns (the codec's parity count) rebuild in one pass; afterwards the
 // object tolerates m fresh failures again.
 //
-// The rebuild streams row by row, so peak memory is one stripe unit per
-// surviving agent regardless of object size.
+// The rebuild streams row by row through the row decoder
+// (src/core/row_decode.h): a row's survivors are read once, concurrently,
+// every lost unit of the row is decoded from that read, and the row's
+// replacement writes go out as one batch. A survivor that turns out corrupt
+// or unreachable mid-rebuild is decoded around while the row's erasures stay
+// within m. Peak memory is one stripe unit per lost column plus the survivor
+// reads in flight, regardless of object size.
 
 #ifndef SWIFT_SRC_CORE_REBUILD_H_
 #define SWIFT_SRC_CORE_REBUILD_H_
@@ -34,9 +39,11 @@ struct RebuildReport {
 // Reconstructs columns `lost_columns` of `metadata`'s object in one
 // streaming pass. `transports` is in stripe-column order; each
 // `transports[lost]` must be a *replacement* agent (its file is
-// created/truncated), the others must be the healthy survivors. Requires
-// parity, at most m lost columns (the codec's parity count), and no
-// duplicates; fails with kUnavailable if a survivor is down.
+// created/truncated), the others must be the survivors. Requires parity, at
+// most m lost columns (the codec's parity count), and no duplicates. Fails
+// with the open error if any column cannot be opened (kUnavailable for a
+// down agent), and with kDataLoss if a row has more than m unreadable units.
+// Every handle it opened is closed again on every exit.
 Result<RebuildReport> RebuildColumns(const ObjectMetadata& metadata,
                                      const std::vector<AgentTransport*>& transports,
                                      std::span<const uint32_t> lost_columns);

@@ -1,9 +1,10 @@
 #include "src/core/scrub.h"
 
-#include <algorithm>
-#include <string>
+#include <optional>
+#include <span>
 
-#include "src/core/erasure.h"
+#include "src/core/distribution_agent.h"
+#include "src/core/row_decode.h"
 #include "src/core/stripe_layout.h"
 #include "src/proto/message.h"
 #include "src/util/logging.h"
@@ -37,80 +38,24 @@ const ScrubMetrics& Metrics() {
   return metrics;
 }
 
-// Reconstructs the unit-aligned cover of `range` on `column` by decoding the
-// row's surviving units through the object's erasure codec, and rewrites it
-// in one Write. A survivor that turns out to be corrupt or unavailable is
-// promoted into the erased set and the row is re-planned, so a Reed-Solomon
-// group heals up to m bad units per row in a single sweep. Sets
-// `*multi_failure` when any row had to decode around two or more erasures.
-// Returns the first error; the caller only tallies (scrubbing keeps sweeping
-// past bad ranges).
-Status RepairRange(const ObjectMetadata& metadata,
-                   const std::vector<AgentTransport*>& transports,
-                   const std::vector<uint32_t>& handles, uint32_t column,
+// Rewrites the unit-aligned cover of `range` on `column` in one Write, each
+// row decoded with the `unopened` columns erased; a Reed-Solomon group heals
+// up to m bad units per row in one sweep. Sets `*multi_failure` when a row
+// decoded around two or more erasures. The caller only tallies errors.
+Status RepairRange(RowDecoder& decoder, AgentTransport* transport, uint32_t handle,
+                   uint64_t unit, std::span<const uint32_t> unopened, uint32_t column,
                    const CorruptRange& range, bool* multi_failure) {
-  if (metadata.stripe.parity == ParityMode::kNone) {
-    return DataLossError("object has no redundancy to repair from");
-  }
-  const StripeLayout layout(metadata.stripe);
-  const ErasureCodec& codec = CodecFor(metadata.stripe);
-  const uint32_t budget = metadata.stripe.ParityUnitsPerRow();
-  const uint64_t unit = metadata.stripe.stripe_unit;
   const uint64_t cover_begin = (range.offset / unit) * unit;
   const uint64_t cover_end = ((range.offset + range.length + unit - 1) / unit) * unit;
-  std::vector<uint8_t> rebuilt(cover_end - cover_begin, 0);
+  std::vector<uint8_t> rebuilt(cover_end - cover_begin);
+  const uint32_t targets[1] = {column};
   for (uint64_t row_offset = cover_begin; row_offset < cover_end; row_offset += unit) {
-    const uint64_t row = row_offset / unit;
-    std::vector<uint32_t> erased_agents{column};
-    std::vector<uint8_t> folded(unit, 0);
-    for (;;) {
-      if (erased_agents.size() > budget) {
-        return DataLossError("row " + std::to_string(row) + " has " +
-                             std::to_string(erased_agents.size()) +
-                             " unreadable units but the codec covers only " +
-                             std::to_string(budget));
-      }
-      std::vector<uint32_t> erased_positions;
-      erased_positions.reserve(erased_agents.size());
-      for (uint32_t agent : erased_agents) {
-        erased_positions.push_back(layout.UnitPositionOf(row, agent));
-      }
-      std::sort(erased_positions.begin(), erased_positions.end());
-      SWIFT_ASSIGN_OR_RETURN(const ReconstructionPlan plan,
-                             codec.PlanReconstruction(erased_positions));
-      const uint32_t target_position = layout.UnitPositionOf(row, column);
-      size_t target_index = 0;
-      while (plan.targets[target_index] != target_position) {
-        ++target_index;
-      }
-      std::fill(folded.begin(), folded.end(), 0);
-      bool promoted = false;
-      for (size_t s = 0; s < plan.survivors.size(); ++s) {
-        const uint32_t agent = layout.AgentAtPosition(row, plan.survivors[s]);
-        auto data = transports[agent]->Read(handles[agent], row_offset, unit);
-        if (!data.ok()) {
-          if (data.code() == StatusCode::kDataCorrupt ||
-              data.code() == StatusCode::kUnavailable) {
-            erased_agents.push_back(agent);
-            promoted = true;
-            break;
-          }
-          return data.status();
-        }
-        GfMulFold(std::span<uint8_t>(folded.data(), data->size()), *data,
-                  plan.Coefficient(target_index, s));
-      }
-      if (promoted) {
-        continue;
-      }
-      if (erased_agents.size() >= 2) {
-        *multi_failure = true;
-      }
-      break;
-    }
-    std::copy(folded.begin(), folded.end(), rebuilt.begin() + (row_offset - cover_begin));
+    uint8_t* const outs[1] = {rebuilt.data() + (row_offset - cover_begin)};
+    RowDecodeReport report;
+    SWIFT_RETURN_IF_ERROR(decoder.DecodeRow(row_offset / unit, unopened, targets, outs, report));
+    *multi_failure = *multi_failure || report.erasures >= 2;
   }
-  return transports[column]->Write(handles[column], cover_begin, rebuilt);
+  return transport->Write(handle, cover_begin, rebuilt);
 }
 
 }  // namespace
@@ -126,13 +71,20 @@ Result<ScrubSummary> ScrubObject(const ObjectMetadata& metadata,
   // object-scoped, not handle-scoped — but ranges needing it stay broken.
   std::vector<uint32_t> handles(transports.size(), 0);
   std::vector<bool> opened(transports.size(), false);
+  std::vector<uint32_t> unopened;
   for (uint32_t c = 0; c < transports.size(); ++c) {
     auto result = transports[c]->Open(metadata.name, 0);
     if (result.ok()) {
       handles[c] = result->handle;
       opened[c] = true;
+    } else {
+      unopened.push_back(c);
     }
   }
+  // Repairs decode through one row decoder, started at the first repair.
+  const StripeLayout layout(metadata.stripe);
+  std::optional<DistributionAgent> distribution;
+  std::optional<RowDecoder> decoder;
 
   ScrubSummary summary;
   for (uint32_t c = 0; c < transports.size(); ++c) {
@@ -156,9 +108,15 @@ Result<ScrubSummary> ScrubObject(const ObjectMetadata& metadata,
       ++summary.ranges_found;
       Metrics().ranges_found->Increment();
       bool multi_failure = false;
-      Status repaired = opened[c]
-                            ? RepairRange(metadata, transports, handles, c, range, &multi_failure)
-                            : UnavailableError("column's file could not be opened for repair");
+      Status repaired = UnavailableError("column's file could not be opened for repair");
+      if (opened[c]) {
+        if (!decoder.has_value()) {
+          distribution.emplace(transports);
+          decoder.emplace(layout, *distribution, handles);
+        }
+        repaired = RepairRange(*decoder, transports[c], handles[c], metadata.stripe.stripe_unit,
+                               unopened, c, range, &multi_failure);
+      }
       if (repaired.ok()) {
         ++summary.ranges_repaired;
         Metrics().ranges_repaired->Increment();

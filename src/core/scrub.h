@@ -6,8 +6,9 @@
 // XOR budget is gone. `ScrubObject` closes that window: each agent verifies
 // its stored file against the CRC sidecar (the SCRUB protocol op — cheap,
 // no data crosses the wire, only corrupt ranges), and every corrupt range is
-// reconstructed from the row's surviving columns and written back, exactly
-// like the read-repair path but driven from the outside in.
+// decoded from the row's surviving columns by the row decoder
+// (src/core/row_decode.h) that read-repair uses, and written back by the
+// scrubber: read-repair driven from the outside in.
 //
 // Repair granularity: a corrupt range is rounded out to stripe-unit
 // boundaries and rewritten in one Write per range. Agents report ranges at

@@ -108,7 +108,7 @@ thread_local uint64_t t_parity_first_ns = 0;
 thread_local uint32_t t_parity_depth = 0;
 
 // Charges the enclosing scope for one parity section. Only the outermost
-// timer records (WriteRowParity may call ReconstructRange — counting both
+// timer records (WriteRowParity may call ReconstructRanges — counting both
 // would double-charge the stage).
 class ParityTimer {
  public:
@@ -201,6 +201,7 @@ SwiftFile::SwiftFile(std::string name, StripeConfig stripe,
       distribution_(std::move(transports), io_options),
       directory_(directory),
       handles_(stripe.num_agents, 0),
+      decoder_(layout_, distribution_, handles_),
       open_(stripe.num_agents),
       failed_(stripe.num_agents) {}
 
@@ -624,7 +625,7 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
     // every column pipelines up to its window. With parity on, checksum
     // failures park in `corrupt` instead of failing the batch; without
     // parity there is nothing to rebuild from, so they surface as errors.
-    std::vector<const AgentExtent*> lost_extents;
+    std::vector<RangeRead> lost;
     CorruptSink corrupt;
     // Shared, not stack-owned: submit-path lambdas store cancel tokens after
     // starting the transport op, which can lose a race with the batch waiter
@@ -635,7 +636,8 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
       OpBatch batch(&distribution_);
       for (const AgentExtent& extent : extents) {
         if (ColumnFailed(extent.agent)) {
-          lost_extents.push_back(&extent);
+          lost.push_back({extent.agent, extent.agent_offset, extent.length,
+                          out.data() + (extent.logical_offset - offset)});
         } else {
           SubmitExtentRead(batch, extent, offset, out, parity_on ? &corrupt : nullptr,
                            hedge_tracker);
@@ -656,19 +658,13 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
     // re-read the ranges from them directly, so correctness never depends on
     // the hedge.
     if (!hedged.empty()) {
-      std::vector<uint32_t> avoid;
+      std::vector<uint32_t> avoid;  // may repeat a column; the decoder dedupes
+      std::vector<RangeRead> ranges;
       for (const HedgeTracker::Op& op : hedged) {
-        if (std::find(avoid.begin(), avoid.end(), op.column) == avoid.end()) {
-          avoid.push_back(op.column);
-        }
+        avoid.push_back(op.column);
+        ranges.push_back({op.column, op.agent_offset, op.length, op.dst});
       }
-      Status rebuilt = OkStatus();
-      for (const HedgeTracker::Op& op : hedged) {
-        rebuilt = ReconstructRange(op.column, op.agent_offset, op.length, op.dst, avoid);
-        if (!rebuilt.ok()) {
-          break;
-        }
-      }
+      const Status rebuilt = ReconstructRanges(ranges, avoid);
       bool straggler_died = false;
       for (uint32_t column : avoid) {
         straggler_died = straggler_died || ColumnFailed(column);
@@ -695,34 +691,14 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
 
     // Heal checksum casualties: reconstruct each corrupt unit from its row's
     // survivors, hand the verified bytes to the caller, write the unit back.
-    for (const CorruptSink::Op& op : corrupt.ops) {
+    for (const RangeRead& op : corrupt.ops) {
       SWIFT_RETURN_IF_ERROR(RepairReadOp(op));
     }
 
-    // Reconstruct extents that live on failed columns, unit by unit (each
-    // unit fans its survivor reads out concurrently). A whole lost unit is
-    // rebuilt straight into the caller's destination; only unit fragments go
-    // through a scratch buffer.
-    const uint64_t unit = layout_.config().stripe_unit;
-    for (const AgentExtent* extent : lost_extents) {
-      uint64_t done = 0;
-      while (done < extent->length) {
-        const uint64_t position = extent->agent_offset + done;
-        const uint64_t row = position / unit;
-        const uint64_t offset_in_unit = position % unit;
-        const uint64_t chunk = std::min(unit - offset_in_unit, extent->length - done);
-        uint8_t* chunk_dst = out.data() + (extent->logical_offset + done - offset);
-        if (chunk == unit) {
-          SWIFT_RETURN_IF_ERROR(
-              ReconstructUnitInto(row, extent->agent, std::span<uint8_t>(chunk_dst, unit)));
-        } else {
-          Buffer scratch = Buffer::Allocate(unit);
-          SWIFT_RETURN_IF_ERROR(ReconstructUnitInto(row, extent->agent, scratch.span()));
-          std::memcpy(chunk_dst, scratch.data() + offset_in_unit, chunk);
-          CountBufferCopy(chunk);
-        }
-        done += chunk;
-      }
+    // Reconstruct extents that live on failed columns; a healthy read skips
+    // the call and so never opens a parity section.
+    if (!lost.empty()) {
+      SWIFT_RETURN_IF_ERROR(ReconstructRanges(lost));
     }
     return OkStatus();
   }
@@ -825,191 +801,88 @@ std::vector<Status> SwiftFile::WaitHedged(OpBatch& batch, HedgeTracker& tracker,
   return batch.Wait();
 }
 
-Status SwiftFile::ReconstructRange(uint32_t column, uint64_t agent_offset, uint64_t length,
-                                   uint8_t* dst, std::span<const uint32_t> avoid) {
+Status SwiftFile::ReconstructRanges(std::span<const RangeRead> ranges,
+                                    std::span<const uint32_t> avoid) {
+  ParityTimer parity_timer;
   const uint64_t unit = layout_.config().stripe_unit;
-  uint64_t done = 0;
-  while (done < length) {
-    const uint64_t position = agent_offset + done;
-    const uint64_t row = position / unit;
-    const uint64_t offset_in_unit = position % unit;
-    const uint64_t chunk = std::min(unit - offset_in_unit, length - done);
-    const uint32_t targets[1] = {column};
-    if (chunk == unit) {
-      uint8_t* const outs[1] = {dst + done};
-      SWIFT_RETURN_IF_ERROR(ReconstructUnitsInto(row, targets, outs, avoid));
-    } else {
-      Buffer scratch = Buffer::Allocate(unit);
-      uint8_t* const outs[1] = {scratch.data()};
-      SWIFT_RETURN_IF_ERROR(ReconstructUnitsInto(row, targets, outs, avoid));
-      std::memcpy(dst + done, scratch.data() + offset_in_unit, chunk);
-      CountBufferCopy(chunk);
+  // Chop the ranges at unit boundaries and group the pieces by row.
+  std::vector<RangeRead> pieces;
+  for (const RangeRead& range : ranges) {
+    for (uint64_t done = 0; done < range.length;) {
+      const uint64_t position = range.agent_offset + done;
+      const uint64_t chunk = std::min(unit - position % unit, range.length - done);
+      pieces.push_back({range.column, position, chunk, range.dst + done});
+      done += chunk;
     }
-    done += chunk;
+  }
+  std::ranges::stable_sort(pieces, {},
+                           [unit](const RangeRead& piece) { return piece.agent_offset / unit; });
+  for (size_t first = 0, last = 0; first < pieces.size(); first = last) {
+    const uint64_t row = pieces[first].agent_offset / unit;
+    while (last < pieces.size() && pieces[last].agent_offset / unit == row) {
+      ++last;
+    }
+    std::vector<uint32_t> targets;
+    std::vector<uint8_t*> outs;
+    Buffer scratch;
+    for (size_t i = first; i < last; ++i) {
+      targets.push_back(pieces[i].column);
+      if (pieces[i].length == unit) {
+        outs.push_back(pieces[i].dst);
+        continue;
+      }
+      if (scratch.size() == 0) {
+        scratch = Buffer::Allocate((last - first) * unit);
+      }
+      outs.push_back(scratch.data() + (i - first) * unit);
+    }
+    std::vector<uint32_t> erased = failed_columns();
+    erased.insert(erased.end(), avoid.begin(), avoid.end());
+    RowDecodeReport report;
+    const Status status = decoder_.DecodeRow(row, erased, targets, outs, report);
+    for (uint32_t column : report.unavailable) {
+      MarkColumnFailed(column);
+    }
+    SWIFT_RETURN_IF_ERROR(status);
+    Metrics().parity_reconstructions->Increment(targets.size());
+    if (report.erasures >= 2) {
+      Metrics().multi_failure_repairs->Increment();
+    }
+    for (size_t i = first; i < last; ++i) {
+      if (pieces[i].length != unit) {
+        std::memcpy(pieces[i].dst, outs[i - first] + pieces[i].agent_offset % unit,
+                    pieces[i].length);
+        CountBufferCopy(pieces[i].length);
+      }
+    }
   }
   return OkStatus();
 }
 
-Status SwiftFile::ReconstructUnitInto(uint64_t row, uint32_t lost_column,
-                                      std::span<uint8_t> out) {
-  SWIFT_CHECK(out.size() == layout_.config().stripe_unit)
-      << "reconstruction target must be one stripe unit";
-  const uint32_t targets[1] = {lost_column};
-  uint8_t* const outs[1] = {out.data()};
-  return ReconstructUnitsInto(row, targets, outs, {});
-}
-
-Status SwiftFile::ReconstructUnitsInto(uint64_t row, std::span<const uint32_t> target_agents,
-                                       std::span<uint8_t* const> outs,
-                                       std::span<const uint32_t> avoid) {
-  const StripeConfig& config = layout_.config();
-  if (config.parity == ParityMode::kNone) {
-    return UnavailableError("cannot reconstruct without parity");
-  }
-  SWIFT_CHECK(target_agents.size() == outs.size());
-  ParityTimer parity_timer;
-  const uint64_t unit = config.stripe_unit;
-  const uint64_t row_offset = row * unit;
-  const ErasureCodec& codec = CodecFor(config);
-  const uint32_t budget = config.ParityUnitsPerRow();
-
-  // The erased set: the targets, the avoid list, every failed column, plus
-  // columns promoted after a survivor read comes back corrupt or
-  // unavailable. Each retry adds at least one erasure, so the loop is
-  // bounded by the budget check.
-  std::vector<uint32_t> erased_agents(target_agents.begin(), target_agents.end());
-  auto add_erased = [&erased_agents](uint32_t agent) {
-    if (std::find(erased_agents.begin(), erased_agents.end(), agent) == erased_agents.end()) {
-      erased_agents.push_back(agent);
-    }
-  };
-  for (uint32_t agent : avoid) {
-    add_erased(agent);
-  }
-  for (uint32_t c = 0; c < config.num_agents; ++c) {
-    if (ColumnFailed(c)) {
-      add_erased(c);
-    }
-  }
-
-  for (;;) {
-    if (erased_agents.size() > budget) {
-      return DataLossError(std::to_string(erased_agents.size()) + " unreadable units in row " +
-                           std::to_string(row) + " exceed the " + std::to_string(budget) +
-                           "-unit parity budget");
-    }
-    std::vector<uint32_t> erased_positions;
-    erased_positions.reserve(erased_agents.size());
-    for (uint32_t agent : erased_agents) {
-      erased_positions.push_back(layout_.UnitPositionOf(row, agent));
-    }
-    std::sort(erased_positions.begin(), erased_positions.end());
-    SWIFT_ASSIGN_OR_RETURN(const ReconstructionPlan plan,
-                           codec.PlanReconstruction(erased_positions));
-
-    // Which plan target backs each caller output.
-    std::vector<size_t> target_index(target_agents.size());
-    for (size_t t = 0; t < target_agents.size(); ++t) {
-      const uint32_t position = layout_.UnitPositionOf(row, target_agents[t]);
-      const auto it = std::find(plan.targets.begin(), plan.targets.end(), position);
-      SWIFT_CHECK(it != plan.targets.end());
-      target_index[t] = static_cast<size_t>(it - plan.targets.begin());
-      std::fill(outs[t], outs[t] + unit, 0);
-    }
-
-    // Every survivor read runs concurrently; each completion folds its
-    // coefficient-scaled payload into every caller target as it lands (GF
-    // addition is XOR, so folds commute; the mutex makes each fold atomic).
-    // The survivor payloads are read as shared slices — nothing is staged or
-    // copied on the way to the fold. A survivor that comes back corrupt or
-    // unavailable resolves OK and is promoted to an erasure for the retry.
-    std::mutex fold_mutex;
-    std::vector<uint32_t> promoted;
-    std::mutex promoted_mutex;
-    {
-      OpBatch batch(&distribution_);
-      for (size_t s = 0; s < plan.survivors.size(); ++s) {
-        const uint32_t agent = layout_.AgentAtPosition(row, plan.survivors[s]);
-        batch.Submit(agent, [this, agent, s, row_offset, unit, &plan, &outs, &target_index,
-                             &fold_mutex, &promoted, &promoted_mutex](
-                                AgentTransport* transport, DistributionAgent::Completion done) {
-          transport->StartRead(
-              handles_[agent], row_offset, unit,
-              [this, agent, s, &plan, &outs, &target_index, &fold_mutex, &promoted,
-               &promoted_mutex, done = std::move(done)](Result<BufferSlice> data) {
-                if (!data.ok()) {
-                  if (data.code() == StatusCode::kUnavailable) {
-                    MarkColumnFailed(agent);
-                  }
-                  if (data.code() == StatusCode::kUnavailable ||
-                      data.code() == StatusCode::kDataCorrupt) {
-                    {
-                      std::lock_guard<std::mutex> lock(promoted_mutex);
-                      promoted.push_back(agent);
-                    }
-                    done(OkStatus());
-                    return;
-                  }
-                  done(data.status());
-                  return;
-                }
-                {
-                  std::lock_guard<std::mutex> lock(fold_mutex);
-                  for (size_t t = 0; t < target_index.size(); ++t) {
-                    GfMulFold(std::span<uint8_t>(outs[t], data->size()), *data,
-                              plan.Coefficient(target_index[t], s));
-                  }
-                }
-                done(OkStatus());
-              });
-        });
-      }
-      for (const Status& status : batch.Wait()) {
-        SWIFT_RETURN_IF_ERROR(status);
-      }
-    }
-    if (!promoted.empty()) {
-      for (uint32_t agent : promoted) {
-        add_erased(agent);
-      }
-      continue;  // replan with the survivors that remain
-    }
-    Metrics().parity_reconstructions->Increment();
-    if (erased_agents.size() >= 2) {
-      Metrics().multi_failure_repairs->Increment();
-    }
-    return OkStatus();
-  }
-}
-
-Status SwiftFile::RepairReadOp(const CorruptSink::Op& op) {
+Status SwiftFile::RepairReadOp(const RangeRead& op) {
   const uint64_t unit = layout_.config().stripe_unit;
-  const uint64_t first_row = op.agent_offset / unit;
-  const uint64_t last_row = (op.agent_offset + op.length - 1) / unit;
-  for (uint64_t row = first_row; row <= last_row; ++row) {
-    Buffer rebuilt = Buffer::Allocate(unit);
-    SWIFT_RETURN_IF_ERROR(ReconstructUnitInto(row, op.column, rebuilt.span()));
-    // The caller gets the verified reconstruction, never the stored bytes.
-    const uint64_t unit_start = row * unit;
-    const uint64_t begin = std::max(op.agent_offset, unit_start);
-    const uint64_t end = std::min(op.agent_offset + op.length, unit_start + unit);
-    std::memcpy(op.dst + (begin - op.agent_offset), rebuilt.data() + (begin - unit_start),
-                end - begin);
-    CountBufferCopy(end - begin);
-    // Read-repair: rewrite the whole unit so the agent reseals it. Best
-    // effort — the read already has good data, and the scrubber sweeps up
-    // anything this misses.
-    if (!ColumnFailed(op.column)) {
-      const Status repaired = GuardedCall(op.column, [&]() -> Status {
-        return distribution_.transport(op.column)
-            ->Write(handles_[op.column], unit_start, rebuilt.span());
-      });
-      if (repaired.ok()) {
-        Metrics().read_repairs->Increment();
-      } else {
-        SWIFT_LOG(WARNING) << "read-repair of '" << name_ << "' row " << row << " column "
-                           << op.column << " failed: " << repaired.ToString();
-      }
+  const uint64_t cover_begin = (op.agent_offset / unit) * unit;
+  const uint64_t cover_end = ((op.agent_offset + op.length + unit - 1) / unit) * unit;
+  Buffer rebuilt = Buffer::Allocate(cover_end - cover_begin);
+  const RangeRead cover[1] = {{op.column, cover_begin, rebuilt.size(), rebuilt.data()}};
+  SWIFT_RETURN_IF_ERROR(ReconstructRanges(cover));
+  // The caller gets the verified reconstruction, never the stored bytes.
+  std::memcpy(op.dst, rebuilt.data() + (op.agent_offset - cover_begin), op.length);
+  CountBufferCopy(op.length);
+  // Read-repair: rewrite the whole units so the agent reseals them. Best
+  // effort — the read already has good data, and the scrubber sweeps up
+  // anything this misses.
+  if (!ColumnFailed(op.column)) {
+    const Status repaired = GuardedCall(op.column, [&]() -> Status {
+      return distribution_.transport(op.column)
+          ->Write(handles_[op.column], cover_begin, rebuilt.span());
+    });
+    if (repaired.ok()) {
+      Metrics().read_repairs->Increment(rebuilt.size() / unit);
+    } else {
+      SWIFT_LOG(WARNING) << "read-repair of '" << name_ << "' column " << op.column << " ["
+                         << cover_begin << ", " << cover_end << ") failed: "
+                         << repaired.ToString();
     }
   }
   return OkStatus();
@@ -1034,7 +907,8 @@ Status SwiftFile::RepairRow(uint64_t row) {
       return stored.status();
     }
     Buffer rebuilt = Buffer::Allocate(unit);
-    SWIFT_RETURN_IF_ERROR(ReconstructUnitInto(row, c, rebuilt.span()));
+    const RangeRead whole[1] = {{c, row_offset, unit, rebuilt.data()}};
+    SWIFT_RETURN_IF_ERROR(ReconstructRanges(whole));
     SWIFT_RETURN_IF_ERROR(GuardedCall(c, [&]() -> Status {
       return distribution_.transport(c)->Write(handles_[c], row_offset, rebuilt.span());
     }));
@@ -1281,15 +1155,20 @@ Status SwiftFile::WriteRowParity(uint64_t row, uint64_t row_write_start, uint64_
 
   // Fold (in memory, deterministic order). A chunk whose data unit is lost
   // lands in the live parity only, so a reconstruction of that unit yields
-  // the new contents; its old bytes come from the row's survivors.
+  // the new contents; its old bytes come from the row's survivors, all lost
+  // chunks in one row decode.
+  std::vector<RangeRead> lost;
   for (const Chunk& chunk : chunks) {
     if (chunk.lost) {
-      if (pieces.empty()) {
-        return DataLossError("write targets a failed agent and every parity unit is failed");
-      }
-      SWIFT_RETURN_IF_ERROR(ReconstructRange(chunk.loc.agent, chunk.loc.agent_offset,
-                                             chunk.old_data.size(), chunk.old_data.data()));
+      lost.push_back({chunk.loc.agent, chunk.loc.agent_offset, chunk.old_data.size(),
+                      chunk.old_data.data()});
     }
+  }
+  if (!lost.empty() && pieces.empty()) {
+    return DataLossError("write targets a failed agent and every parity unit is failed");
+  }
+  SWIFT_RETURN_IF_ERROR(ReconstructRanges(lost));
+  for (const Chunk& chunk : chunks) {
     const uint64_t chunk_end = chunk.offset_in_unit + chunk.new_data.size();
     for (ParityPiece& p : pieces) {
       if (chunk.offset_in_unit >= p.lo && chunk_end <= p.lo + p.buf.size()) {

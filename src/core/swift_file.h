@@ -18,11 +18,12 @@
 //
 // Failure model (§2's computed-copy redundancy, generalized to k+m erasure
 // coding): with parity enabled the object's codec stores m parity units per
-// row — up to m concurrent failed agents are survived. Reads reconstruct
-// lost units from the row's survivors (GF-folding each survivor's unit as
-// its completion lands), writes keep every live parity unit consistent so
-// later reconstruction yields the new data (including writes *to* failed
-// agents, which land only in parity). More than m failures is kDataLoss.
+// row — up to m concurrent failed agents are survived. Reads rebuild lost
+// units through the row decoder (src/core/row_decode.h): one decode per row
+// for all of its lost units, each survivor read once. Writes keep every live
+// parity unit consistent so later reconstruction yields the new data
+// (including writes *to* failed agents, which land only in parity). More
+// than m failures is kDataLoss.
 // Without parity, any agent failure is surfaced as kUnavailable.
 //
 // Integrity (at-rest corruption): a read that fails its agent's stored
@@ -55,6 +56,7 @@
 #include "src/core/agent_transport.h"
 #include "src/core/distribution_agent.h"
 #include "src/core/object_directory.h"
+#include "src/core/row_decode.h"
 #include "src/core/stripe_layout.h"
 #include "src/core/transfer_plan.h"
 #include "src/util/status.h"
@@ -127,18 +129,20 @@ class SwiftFile {
 
   Status OpenAgentFiles(uint32_t flags);
 
+  // [agent_offset, +length) of `column`, delivered to `dst`.
+  struct RangeRead {
+    uint32_t column = 0;
+    uint64_t agent_offset = 0;
+    uint64_t length = 0;
+    uint8_t* dst = nullptr;
+  };
+
   // Checksum failures observed by one read batch's completions. Ops land
   // here (instead of failing the batch) so the batch can finish and the
-  // corrupt units be repaired afterwards, one reconstruction per unit.
+  // corrupt units be repaired afterwards.
   struct CorruptSink {
-    struct Op {
-      uint32_t column = 0;
-      uint64_t agent_offset = 0;
-      uint64_t length = 0;
-      uint8_t* dst = nullptr;
-    };
     std::mutex mutex;
-    std::vector<Op> ops;
+    std::vector<RangeRead> ops;
   };
 
   // Read ops of one live batch tracked for hedging. Every submitted read
@@ -175,38 +179,23 @@ class SwiftFile {
   // most one hedge per batch; the global governor keeps hedges ≤5% of reads.
   std::vector<Status> WaitHedged(OpBatch& batch, HedgeTracker& tracker,
                                  std::vector<HedgeTracker::Op>* parked);
-  // Rebuilds [agent_offset, +length) of `column` into `dst` from the rows'
-  // parity survivors, without writing anything back (the column is healthy —
-  // just slow — so there is nothing to repair). `avoid` lists additional
-  // columns reconstruction must not read (other hedged-away stragglers).
-  Status ReconstructRange(uint32_t column, uint64_t agent_offset, uint64_t length,
-                          uint8_t* dst, std::span<const uint32_t> avoid = {});
+  // Rebuilds `ranges` through the row decoder, writing nothing back: one
+  // decode per row for all the units the ranges touch there, whole units in
+  // place, fragments via scratch. Failed columns and `avoid` (hedged-away
+  // stragglers) are not read; survivors found unavailable are marked failed.
+  Status ReconstructRanges(std::span<const RangeRead> ranges,
+                           std::span<const uint32_t> avoid = {});
   // The hedge arm delay: max over live columns of srtt + hedge_k·rttvar,
   // clamped to [hedge_floor_us, hedge_cap_us]; the cap when no column has an
   // RTT estimate yet.
   uint64_t HedgeDelayUs() const;
-  // Heals one corrupt read op: per covered stripe unit, reconstructs from
-  // the row's survivors, copies the requested slice into the op's
-  // destination, and best-effort writes the rebuilt unit back (read-repair).
-  Status RepairReadOp(const CorruptSink::Op& op);
+  // Heals one corrupt read op: rebuilds the units it covers, copies the
+  // requested slice into the op's destination, and best-effort writes the
+  // rebuilt units back (read-repair).
+  Status RepairReadOp(const RangeRead& op);
   // Verifies every live unit of `row` and rewrites corrupt ones from parity
   // reconstruction. Used when a read-modify-write gather hits kDataCorrupt.
   Status RepairRow(uint64_t row);
-  // Reconstructs the unit at (row, failed column) into `out` (one full
-  // stripe unit) via the codec. When the caller's destination is
-  // unit-aligned this rebuilds in place — no scratch buffer.
-  Status ReconstructUnitInto(uint64_t row, uint32_t lost_column, std::span<uint8_t> out);
-  // General form: rebuilds the units of `row` held by `target_agents` into
-  // `outs` (one full stripe unit each) from the row's survivors. `avoid`
-  // agents are treated as additionally unreadable (hedged-away stragglers);
-  // failed columns are always excluded. Zeroes each target, reads the k
-  // survivors concurrently, and folds each completion (scaled by its plan
-  // coefficient) into every target as it lands. Survivors that come back
-  // corrupt or unavailable are promoted to erasures and the attempt retried
-  // while the codec's m-unit budget allows; beyond that, kDataLoss.
-  Status ReconstructUnitsInto(uint64_t row, std::span<const uint32_t> target_agents,
-                              std::span<uint8_t* const> outs,
-                              std::span<const uint32_t> avoid);
   // Concurrent column failures the object's codec covers (m with parity on,
   // 0 without).
   uint32_t ParityBudget() const;
@@ -265,6 +254,8 @@ class SwiftFile {
   DistributionAgent distribution_;
   ObjectDirectory* directory_;
   std::vector<uint32_t> handles_;
+  // Over layout_, distribution_ and handles_; declared after them.
+  RowDecoder decoder_;
   // Atomic: set from op completions on transport/pool threads.
   std::vector<std::atomic<bool>> open_;
   std::vector<std::atomic<bool>> failed_;

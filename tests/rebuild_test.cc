@@ -20,12 +20,14 @@ std::vector<uint8_t> Pattern(size_t n, uint64_t seed) {
 }
 
 struct RebuildFixture {
-  explicit RebuildFixture(uint32_t agents, uint64_t object_bytes, bool parity = true)
+  explicit RebuildFixture(uint32_t agents, uint64_t object_bytes, bool parity = true,
+                          uint32_t parity_units = 1)
       : cluster({.num_agents = agents}) {
     auto file = cluster.CreateFile({.object_name = "obj",
                                     .expected_size = object_bytes,
                                     .typical_request = KiB(16) * agents,
                                     .redundancy = parity,
+                                    .parity_units = parity_units,
                                     .min_agents = agents,
                                     .max_agents = agents});
     EXPECT_TRUE(file.ok()) << file.status().ToString();
@@ -45,6 +47,30 @@ struct RebuildFixture {
     EXPECT_TRUE(core->Truncate(opened->handle, 0).ok());
     EXPECT_TRUE(core->Close(opened->handle).ok());
     return RebuildColumn(metadata, cluster.TransportsFor(metadata.agent_ids), column);
+  }
+
+  // Flips one stored byte of the first data unit `column` holds, under the
+  // checksum layer: reads of that unit then answer kDataCorrupt.
+  void CorruptDataUnit(uint32_t column) {
+    const StripeLayout layout(metadata.stripe);
+    uint64_t row = 0;
+    while (layout.UnitPositionOf(row, column) >= metadata.stripe.DataAgentsPerRow()) {
+      ++row;
+    }
+    BackingStore* store = cluster.raw_store(metadata.agent_ids[column]);
+    const uint64_t offset = row * metadata.stripe.stripe_unit + 5;
+    auto byte = store->ReadAt(metadata.name, offset, 1);
+    ASSERT_TRUE(byte.ok()) << byte.status().ToString();
+    const uint8_t flipped[1] = {static_cast<uint8_t>((*byte)[0] ^ 0x20)};
+    ASSERT_TRUE(store->WriteAt(metadata.name, offset, flipped).ok());
+  }
+
+  bool ContentsIntact() {
+    auto file = cluster.OpenFile("obj");
+    EXPECT_TRUE(file.ok());
+    std::vector<uint8_t> read_back(data.size());
+    auto n = (*file)->PRead(0, read_back);
+    return n.ok() && read_back == data;
   }
 
   bool ContentsIntactAfterFreshFailure(uint32_t fresh_failure) {
@@ -119,6 +145,84 @@ TEST(RebuildTest, EmptyObjectRebuildsToEmpty) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->rows_rebuilt, 0u);
   EXPECT_EQ(report->bytes_written, 0u);
+}
+
+// Forwards to an agent's transport, but can make Open or every read answer
+// kUnavailable: an agent that is down at open, or dies after it.
+class FlakyTransport : public AgentTransport {
+ public:
+  explicit FlakyTransport(AgentTransport* inner) : inner_(inner) {}
+  bool fail_open = false;
+  bool fail_reads = false;
+
+  Result<AgentOpenResult> Open(const std::string& object_name, uint32_t flags) override {
+    if (fail_open) {
+      return UnavailableError("agent down at open");
+    }
+    return inner_->Open(object_name, flags);
+  }
+  Status Write(uint32_t handle, uint64_t offset, std::span<const uint8_t> data) override {
+    return inner_->Write(handle, offset, data);
+  }
+  Result<BufferSlice> Read(uint32_t handle, uint64_t offset, uint64_t length) override {
+    if (fail_reads) {
+      return UnavailableError("agent died");
+    }
+    return inner_->Read(handle, offset, length);
+  }
+  Result<uint64_t> Stat(uint32_t handle) override { return inner_->Stat(handle); }
+  Status Truncate(uint32_t handle, uint64_t size) override {
+    return inner_->Truncate(handle, size);
+  }
+  Status Close(uint32_t handle) override { return inner_->Close(handle); }
+  Status Remove(const std::string& object_name) override { return inner_->Remove(object_name); }
+
+ private:
+  AgentTransport* inner_;
+};
+
+TEST(RebuildTest, Rs42DecodesAroundCorruptSurvivor) {
+  RebuildFixture fixture(6, KiB(400) + 11, /*parity=*/true, /*parity_units=*/2);
+  fixture.CorruptDataUnit(0);
+  auto report = fixture.ReplaceAndRebuild(5);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->rows_rebuilt, 0u);
+  EXPECT_TRUE(fixture.ContentsIntact());
+  EXPECT_TRUE(fixture.ContentsIntactAfterFreshFailure(5));
+}
+
+TEST(RebuildTest, Rs42DecodesAroundUnavailableSurvivor) {
+  RebuildFixture fixture(6, KiB(400) + 11, /*parity=*/true, /*parity_units=*/2);
+  auto transports = fixture.cluster.TransportsFor(fixture.metadata.agent_ids);
+  FlakyTransport dying(transports[0]);
+  dying.fail_reads = true;
+  transports[0] = &dying;
+  auto report = RebuildColumn(fixture.metadata, transports, 5);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_GT(report->rows_rebuilt, 0u);
+  EXPECT_TRUE(fixture.ContentsIntact());
+  EXPECT_TRUE(fixture.ContentsIntactAfterFreshFailure(5));
+}
+
+TEST(RebuildTest, XorCorruptSurvivorIsDataLoss) {
+  // Lost column plus corrupt survivor: two erasures, one parity unit.
+  RebuildFixture fixture(4, KiB(200));
+  fixture.CorruptDataUnit(0);
+  EXPECT_EQ(fixture.ReplaceAndRebuild(3).code(), StatusCode::kDataLoss);
+}
+
+TEST(RebuildTest, FailedOpenClosesEveryOpenedHandle) {
+  RebuildFixture fixture(4, KiB(128));
+  auto transports = fixture.cluster.TransportsFor(fixture.metadata.agent_ids);
+  FlakyTransport down(transports[3]);
+  down.fail_open = true;
+  transports[3] = &down;
+  EXPECT_EQ(RebuildColumn(fixture.metadata, transports, 0).code(), StatusCode::kUnavailable);
+  // An agent refuses to remove an object with open handles.
+  for (uint32_t c = 0; c < 3; ++c) {
+    EXPECT_TRUE(fixture.cluster.agent_core(fixture.metadata.agent_ids[c])->Remove("obj").ok())
+        << "column " << c;
+  }
 }
 
 }  // namespace
