@@ -342,6 +342,84 @@ void BM_PartialRowWrite4K(benchmark::State& state) {
 }
 BENCHMARK(BM_PartialRowWrite4K);
 
+// Degraded-read probe: sequential 1 MiB reads of an RS(4,2) object with
+// 64 KiB stripe units and two failed columns, over in-process agents so every
+// counter is exact. A read covers four whole rows. Reports, per read:
+//   * wire_bytes_per_user_byte — transport payload bytes read per user byte.
+//     The floor is 1.0: each row's live data units are its survivors, and
+//     only the live parity units standing in for its lost data units are
+//     added. Re-reading the live data units to decode, a batch per row,
+//     costs 1.66 bytes and five round trips.
+//   * round_trips_per_read — dependent batches (distribution-agent batch
+//     waits): the live extents and the survivor reads go in one.
+// ci.sh fails the build above 1.05 bytes or 1 round trip per read.
+void BM_DegradedRead1M(benchmark::State& state) {
+  constexpr uint32_t kAgents = 6;
+  constexpr uint64_t kUnit = KiB(64);
+  constexpr uint64_t kRead = MiB(1);
+  constexpr uint64_t kReads = 8;
+  std::vector<std::unique_ptr<InMemoryBackingStore>> stores;
+  std::vector<std::unique_ptr<StorageAgentCore>> cores;
+  std::vector<std::unique_ptr<InProcTransport>> transports;
+  std::vector<AgentTransport*> raw;
+  TransferPlan plan;
+  plan.object_name = "degraded";
+  plan.stripe.num_agents = kAgents;
+  plan.stripe.stripe_unit = kUnit;
+  plan.stripe.parity = ParityMode::kRotating;
+  plan.stripe.parity_units = 2;
+  plan.stripe.codec = ErasureKind::kReedSolomon;
+  for (uint32_t i = 0; i < kAgents; ++i) {
+    stores.push_back(std::make_unique<InMemoryBackingStore>());
+    cores.push_back(std::make_unique<StorageAgentCore>(stores.back().get()));
+    transports.push_back(std::make_unique<InProcTransport>(cores.back().get()));
+    raw.push_back(transports.back().get());
+    plan.agent_ids.push_back(i);
+  }
+  ObjectDirectory directory;
+  auto file = SwiftFile::Create(plan, raw, &directory);
+  if (!file.ok()) {
+    state.SkipWithError(file.status().ToString().c_str());
+    return;
+  }
+  if (auto filled = (*file)->PWrite(0, RandomBytes(kReads * kRead, 7)); !filled.ok()) {
+    state.SkipWithError(filled.status().ToString().c_str());
+    return;
+  }
+  (*file)->MarkColumnFailed(1);
+  (*file)->MarkColumnFailed(4);
+
+  auto wire_bytes = [&transports] {
+    uint64_t bytes = 0;
+    for (const auto& transport : transports) {
+      bytes += transport->stats().bytes_read;
+    }
+    return bytes;
+  };
+  HistogramMetric* batches = MetricRegistry::Global().GetHistogram("swift_dist_batch_latency_us");
+  const uint64_t bytes_before = wire_bytes();
+  const uint64_t batches_before = batches->Snap().count;
+  std::vector<uint8_t> out(kRead);
+  uint64_t reads = 0;
+  for (auto _ : state) {
+    auto n = (*file)->PRead((reads % kReads) * kRead, out);
+    if (!n.ok()) {
+      state.SkipWithError(n.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(out.data());
+    ++reads;
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(reads * kRead));
+  if (reads > 0) {
+    state.counters["wire_bytes_per_user_byte"] =
+        static_cast<double>(wire_bytes() - bytes_before) / static_cast<double>(reads * kRead);
+    state.counters["round_trips_per_read"] =
+        static_cast<double>(batches->Snap().count - batches_before) / static_cast<double>(reads);
+  }
+}
+BENCHMARK(BM_DegradedRead1M)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace swift
 

@@ -76,6 +76,29 @@ printf 'wire_bytes_per_user_byte %.2f (<= 4.5), round_trips_per_write %.2f (<= 2
   "${RMW_BYTES}" "${RMW_TRIPS}"
 rm -f "${RMW_JSON}"
 
+# Degraded-read gate: a sequential 1 MiB read of RS(4,2) with two failed
+# columns must decode from the survivors it already fetches — the live data
+# units, plus only the live parity units standing in for the lost ones: 1.0
+# transport bytes per user byte (budget 1.05), where re-reading the live data
+# units to decode costs 1.66. Counted at the in-process transport. The same
+# probe holds the read to one round trip: live extents and survivor reads in
+# one batch.
+echo "== degraded read gate (wire_bytes_per_user_byte <= 1.05, 1 round trip) =="
+DEG_JSON="$(mktemp)"
+./build/bench/micro_benchmarks --benchmark_filter=BM_DegradedRead1M \
+    --benchmark_min_time=0.2 --benchmark_format=json > "${DEG_JSON}"
+DEG_BYTES="$(grep -o '"wire_bytes_per_user_byte": [0-9.e+-]*' "${DEG_JSON}" | head -1 | awk '{print $2}')"
+DEG_TRIPS="$(grep -o '"round_trips_per_read": [0-9.e+-]*' "${DEG_JSON}" | head -1 | awk '{print $2}')"
+[ -n "${DEG_BYTES}" ] && [ -n "${DEG_TRIPS}" ] \
+  || { echo "FAIL: no degraded-read counters in probe output"; cat "${DEG_JSON}"; exit 1; }
+awk -v b="${DEG_BYTES}" 'BEGIN { exit !(b <= 1.05) }' \
+  || { echo "FAIL: wire_bytes_per_user_byte ${DEG_BYTES} > 1.05 (degraded reads re-read survivors)"; exit 1; }
+awk -v t="${DEG_TRIPS}" 'BEGIN { exit !(t <= 1.0) }' \
+  || { echo "FAIL: round_trips_per_read ${DEG_TRIPS} > 1 (degraded read batches serialized)"; exit 1; }
+printf 'wire_bytes_per_user_byte %.2f (<= 1.05), round_trips_per_read %.2f (<= 1)\n' \
+  "${DEG_BYTES}" "${DEG_TRIPS}"
+rm -f "${DEG_JSON}"
+
 # CRC-32 kernel gate: every striped byte pays several CRC passes (wire
 # encode/decode, at-rest seal/verify), so the kernel caps the data path.
 # The dispatched kernel must sustain >= 1000 MB/s on 8 KiB payloads. The

@@ -12,14 +12,21 @@ namespace swift {
 
 namespace {
 
+// Rows decoded per batch: enough to keep the UDP transport's default window
+// of eight ops per column busy.
+constexpr uint64_t kRowWindow = 8;
+
 // Decodes every row of the lost columns from the survivors and writes it to
-// the replacements, then trims each replacement to its layout size. The
-// handles of every column must be open.
+// the replacements, then trims each replacement to its layout size. Windows
+// of rows move in one batch each: window w's survivor reads go out together
+// with window w - 1's replacement writes, so the decode and the writes
+// overlap. The handles of every column must be open.
 Status RebuildRows(const ObjectMetadata& metadata, const std::vector<AgentTransport*>& transports,
                    std::span<const uint32_t> handles, std::span<const uint32_t> lost_columns,
                    RebuildReport* report) {
   const StripeLayout layout(metadata.stripe);
   const uint64_t unit = metadata.stripe.stripe_unit;
+  const size_t lost = lost_columns.size();
   std::vector<uint64_t> target_bytes;
   uint64_t rows = 0;
   for (uint32_t column : lost_columns) {
@@ -29,44 +36,58 @@ Status RebuildRows(const ObjectMetadata& metadata, const std::vector<AgentTransp
   if (rows > 0) {
     DistributionAgent distribution(transports);
     RowDecoder decoder(layout, distribution, handles);
-    // One unit per lost column. The last unit of a replacement's file may be
-    // short (a partially filled trailing data unit); writing the
+    // Two windows of one unit per lost column per row: the one being decoded
+    // and the one being written. The last unit of a replacement's file may
+    // be short (a partially filled trailing data unit); writing the
     // zero-extended reconstruction and truncating at the end restores the
     // exact size.
-    Buffer rebuilt = Buffer::Allocate(lost_columns.size() * unit);
-    std::vector<uint8_t*> outs;
-    for (size_t i = 0; i < lost_columns.size(); ++i) {
-      outs.push_back(rebuilt.data() + i * unit);
-    }
-    RowDecodeReport decoded;
-    for (uint64_t row = 0; row < rows; ++row) {
-      SWIFT_RETURN_IF_ERROR(decoder.DecodeRow(row, {}, lost_columns, outs, decoded));
-      // The row's replacement writes go out as one batch.
-      const uint64_t row_offset = row * unit;
-      uint64_t row_bytes = 0;
-      OpBatch batch(&distribution);
-      for (size_t i = 0; i < lost_columns.size(); ++i) {
-        if (row_offset >= target_bytes[i]) {
-          continue;  // this replacement's file ends before the row
+    Buffer rebuilt = Buffer::Allocate(2 * kRowWindow * lost * unit);
+    auto slot = [&](uint64_t row, size_t i) {
+      return rebuilt.data() + ((row % (2 * kRowWindow)) * lost + i) * unit;
+    };
+    for (uint64_t first = 0; first < rows + kRowWindow; first += kRowWindow) {
+      const uint64_t last = std::min(rows, first + kRowWindow);
+      std::vector<UnitRange> targets;
+      for (uint64_t row = first; row < last; ++row) {
+        for (size_t i = 0; i < lost; ++i) {
+          targets.push_back({row, lost_columns[i], 0, unit, slot(row, i)});
         }
-        const uint32_t column = lost_columns[i];
-        const std::span<const uint8_t> bytes(outs[i], std::min(unit, target_bytes[i] - row_offset));
-        batch.Submit(column, [&handles, column, row_offset, bytes](
-                                 AgentTransport* transport, DistributionAgent::Completion done) {
-          transport->StartWrite(handles[column], row_offset, bytes, std::move(done));
-        });
-        row_bytes += bytes.size();
       }
-      for (const Status& status : batch.Wait()) {
-        SWIFT_RETURN_IF_ERROR(status);
+      RowDecoder::Job decode(decoder, targets, {});
+      {
+        OpBatch batch(&distribution);
+        SWIFT_RETURN_IF_ERROR(decode.Start(batch));
+        // The previous window's replacement writes.
+        for (uint64_t row = first > 0 ? first - kRowWindow : 0; row < first; ++row) {
+          const uint64_t row_offset = row * unit;
+          uint64_t row_bytes = 0;
+          for (size_t i = 0; i < lost; ++i) {
+            if (row_offset >= target_bytes[i]) {
+              continue;  // this replacement's file ends before the row
+            }
+            const uint32_t column = lost_columns[i];
+            const std::span<const uint8_t> bytes(slot(row, i),
+                                                 std::min(unit, target_bytes[i] - row_offset));
+            batch.Submit(column, [&handles, column, row_offset, bytes](
+                                     AgentTransport* transport,
+                                     DistributionAgent::Completion done) {
+              transport->StartWrite(handles[column], row_offset, bytes, std::move(done));
+            });
+            row_bytes += bytes.size();
+          }
+          if (row_bytes > 0) {
+            ++report->rows_rebuilt;
+            report->bytes_written += row_bytes;
+          }
+        }
+        for (const Status& status : batch.Wait()) {
+          SWIFT_RETURN_IF_ERROR(status);
+        }
       }
-      if (row_bytes > 0) {
-        ++report->rows_rebuilt;
-        report->bytes_written += row_bytes;
-      }
+      SWIFT_RETURN_IF_ERROR(decode.Finish({}));
     }
   }
-  for (size_t i = 0; i < lost_columns.size(); ++i) {
+  for (size_t i = 0; i < lost; ++i) {
     SWIFT_RETURN_IF_ERROR(
         transports[lost_columns[i]]->Truncate(handles[lost_columns[i]], target_bytes[i]));
   }

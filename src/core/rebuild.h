@@ -10,13 +10,14 @@
 // columns (the codec's parity count) rebuild in one pass; afterwards the
 // object tolerates m fresh failures again.
 //
-// The rebuild streams row by row through the row decoder
-// (src/core/row_decode.h): a row's survivors are read once, concurrently,
-// every lost unit of the row is decoded from that read, and the row's
-// replacement writes go out as one batch. A survivor that turns out corrupt
-// or unreachable mid-rebuild is decoded around while the row's erasures stay
-// within m. Peak memory is one stripe unit per lost column plus the survivor
-// reads in flight, regardless of object size.
+// The rebuild streams a window of rows at a time through the row decoder
+// (src/core/row_decode.h): every survivor of the window's rows is read once,
+// concurrently, in one batch, every lost unit of those rows is decoded from
+// it, and the window's replacement writes ride the next window's survivor
+// batch. A survivor that turns out corrupt or unreachable mid-rebuild is
+// decoded around while its row's erasures stay within m. Peak memory is two
+// windows of one stripe unit per lost column plus the survivor reads in
+// flight, regardless of object size.
 
 #ifndef SWIFT_SRC_CORE_REBUILD_H_
 #define SWIFT_SRC_CORE_REBUILD_H_

@@ -38,23 +38,25 @@ const ScrubMetrics& Metrics() {
   return metrics;
 }
 
-// Rewrites the unit-aligned cover of `range` on `column` in one Write, each
-// row decoded with the `unopened` columns erased; a Reed-Solomon group heals
-// up to m bad units per row in one sweep. Sets `*multi_failure` when a row
-// decoded around two or more erasures. The caller only tallies errors.
+// Rewrites the unit-aligned cover of `range` on `column` in one Write, every
+// row of it decoded in one batch with the `unopened` columns erased; a
+// Reed-Solomon group heals up to m bad units per row in one sweep. Sets
+// `*multi_failure` when a row decoded around two or more erasures. The caller
+// only tallies errors.
 Status RepairRange(RowDecoder& decoder, AgentTransport* transport, uint32_t handle,
                    uint64_t unit, std::span<const uint32_t> unopened, uint32_t column,
                    const CorruptRange& range, bool* multi_failure) {
   const uint64_t cover_begin = (range.offset / unit) * unit;
   const uint64_t cover_end = ((range.offset + range.length + unit - 1) / unit) * unit;
   std::vector<uint8_t> rebuilt(cover_end - cover_begin);
-  const uint32_t targets[1] = {column};
+  std::vector<UnitRange> targets;
   for (uint64_t row_offset = cover_begin; row_offset < cover_end; row_offset += unit) {
-    uint8_t* const outs[1] = {rebuilt.data() + (row_offset - cover_begin)};
-    RowDecodeReport report;
-    SWIFT_RETURN_IF_ERROR(decoder.DecodeRow(row_offset / unit, unopened, targets, outs, report));
-    *multi_failure = *multi_failure || report.erasures >= 2;
+    targets.push_back(
+        {row_offset / unit, column, 0, unit, rebuilt.data() + (row_offset - cover_begin)});
   }
+  RowDecodeReport report;
+  SWIFT_RETURN_IF_ERROR(decoder.Decode(targets, unopened, report));
+  *multi_failure = report.erasures >= 2;
   return transport->Write(handle, cover_begin, rebuilt);
 }
 

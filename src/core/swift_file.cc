@@ -191,6 +191,18 @@ class RootSpanScope {
   std::optional<ScopedTraceContext> scope_;
 };
 
+// Appends [agent_offset, +length) of `column`, at `data`, to `out` cut at
+// stripe-unit boundaries: one range per row it touches.
+void AppendUnitRanges(uint64_t unit, uint32_t column, uint64_t agent_offset, uint64_t length,
+                      uint8_t* data, std::vector<UnitRange>& out) {
+  for (uint64_t done = 0; done < length;) {
+    const uint64_t position = agent_offset + done;
+    const uint64_t chunk = std::min(unit - position % unit, length - done);
+    out.push_back({position / unit, column, position % unit, chunk, data + done});
+    done += chunk;
+  }
+}
+
 }  // namespace
 
 SwiftFile::SwiftFile(std::string name, StripeConfig stripe,
@@ -603,6 +615,7 @@ void SwiftFile::SubmitExtentWrite(OpBatch& batch, const AgentExtent& extent, uin
 
 Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
   const bool parity_on = layout_.config().parity != ParityMode::kNone;
+  const uint64_t unit = layout_.config().stripe_unit;
   // A failure discovered mid-read flips a column to failed and we retry;
   // each retry consumes at least one new failure, so attempts are bounded.
   for (uint32_t attempt = 0; attempt <= layout_.config().num_agents; ++attempt) {
@@ -621,11 +634,32 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
                          failed_count_.load() < ParityBudget() &&
                          layout_.config().num_agents > 1;
 
+    // Extents on failed columns are decoded in the live batch itself: the
+    // decode job holds the live data units this batch lands in `out` and
+    // submits only the survivors the read does not fetch, usually the rows'
+    // live parity units. A healthy read builds none of this.
+    const std::vector<uint32_t> failed = failed_columns();
+    auto is_failed = [&failed](uint32_t column) {
+      return std::ranges::find(failed, column) != failed.end();
+    };
+    std::vector<UnitRange> lost;
+    std::vector<UnitRange> held;
+    if (!failed.empty()) {
+      for (const AgentExtent& extent : extents) {
+        AppendUnitRanges(unit, extent.agent, extent.agent_offset, extent.length,
+                         out.data() + (extent.logical_offset - offset),
+                         is_failed(extent.agent) ? lost : held);
+      }
+    }
+    std::optional<RowDecoder::Job> decode;
+    if (!lost.empty()) {
+      decode.emplace(decoder_, lost, failed, held);
+    }
+
     // Live extents: one batch of stripe-unit ops across the whole range, so
     // every column pipelines up to its window. With parity on, checksum
     // failures park in `corrupt` instead of failing the batch; without
     // parity there is nothing to rebuild from, so they surface as errors.
-    std::vector<RangeRead> lost;
     CorruptSink corrupt;
     // Shared, not stack-owned: submit-path lambdas store cancel tokens after
     // starting the transport op, which can lose a race with the batch waiter
@@ -634,11 +668,11 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
     std::vector<HedgeTracker::Op> hedged;
     {
       OpBatch batch(&distribution_);
+      if (decode.has_value()) {
+        SWIFT_RETURN_IF_ERROR(decode->Start(batch));
+      }
       for (const AgentExtent& extent : extents) {
-        if (ColumnFailed(extent.agent)) {
-          lost.push_back({extent.agent, extent.agent_offset, extent.length,
-                          out.data() + (extent.logical_offset - offset)});
-        } else {
+        if (!is_failed(extent.agent)) {
           SubmitExtentRead(batch, extent, offset, out, parity_on ? &corrupt : nullptr,
                            hedge_tracker);
         }
@@ -656,7 +690,8 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
     // ops were cancelled). If reconstruction loses its bet (a survivor died
     // mid-hedge), the straggler columns themselves are still healthy —
     // re-read the ranges from them directly, so correctness never depends on
-    // the hedge.
+    // the hedge. Either way the ranges hold good bytes afterwards, so the
+    // decode job below may fold them as held survivors.
     if (!hedged.empty()) {
       std::vector<uint32_t> avoid;  // may repeat a column; the decoder dedupes
       std::vector<RangeRead> ranges;
@@ -689,16 +724,25 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
       }
     }
 
+    // Finish the decode. A held unit that came back corrupt is no survivor:
+    // its row re-plans with that column erased.
+    if (decode.has_value()) {
+      ParityTimer parity_timer;
+      std::vector<UnitRef> unusable;
+      for (const RangeRead& op : corrupt.ops) {
+        for (uint64_t row = op.agent_offset / unit; row * unit < op.agent_offset + op.length;
+             ++row) {
+          unusable.push_back({row, op.column});
+        }
+      }
+      SWIFT_RETURN_IF_ERROR(
+          RecordDecode(decode->Finish(unusable), decode->report(), lost.size()));
+    }
+
     // Heal checksum casualties: reconstruct each corrupt unit from its row's
     // survivors, hand the verified bytes to the caller, write the unit back.
     for (const RangeRead& op : corrupt.ops) {
       SWIFT_RETURN_IF_ERROR(RepairReadOp(op));
-    }
-
-    // Reconstruct extents that live on failed columns; a healthy read skips
-    // the call and so never opens a parity section.
-    if (!lost.empty()) {
-      SWIFT_RETURN_IF_ERROR(ReconstructRanges(lost));
     }
     return OkStatus();
   }
@@ -804,58 +848,26 @@ std::vector<Status> SwiftFile::WaitHedged(OpBatch& batch, HedgeTracker& tracker,
 Status SwiftFile::ReconstructRanges(std::span<const RangeRead> ranges,
                                     std::span<const uint32_t> avoid) {
   ParityTimer parity_timer;
-  const uint64_t unit = layout_.config().stripe_unit;
-  // Chop the ranges at unit boundaries and group the pieces by row.
-  std::vector<RangeRead> pieces;
+  std::vector<UnitRange> targets;
   for (const RangeRead& range : ranges) {
-    for (uint64_t done = 0; done < range.length;) {
-      const uint64_t position = range.agent_offset + done;
-      const uint64_t chunk = std::min(unit - position % unit, range.length - done);
-      pieces.push_back({range.column, position, chunk, range.dst + done});
-      done += chunk;
-    }
+    AppendUnitRanges(layout_.config().stripe_unit, range.column, range.agent_offset,
+                     range.length, range.dst, targets);
   }
-  std::ranges::stable_sort(pieces, {},
-                           [unit](const RangeRead& piece) { return piece.agent_offset / unit; });
-  for (size_t first = 0, last = 0; first < pieces.size(); first = last) {
-    const uint64_t row = pieces[first].agent_offset / unit;
-    while (last < pieces.size() && pieces[last].agent_offset / unit == row) {
-      ++last;
-    }
-    std::vector<uint32_t> targets;
-    std::vector<uint8_t*> outs;
-    Buffer scratch;
-    for (size_t i = first; i < last; ++i) {
-      targets.push_back(pieces[i].column);
-      if (pieces[i].length == unit) {
-        outs.push_back(pieces[i].dst);
-        continue;
-      }
-      if (scratch.size() == 0) {
-        scratch = Buffer::Allocate((last - first) * unit);
-      }
-      outs.push_back(scratch.data() + (i - first) * unit);
-    }
-    std::vector<uint32_t> erased = failed_columns();
-    erased.insert(erased.end(), avoid.begin(), avoid.end());
-    RowDecodeReport report;
-    const Status status = decoder_.DecodeRow(row, erased, targets, outs, report);
-    for (uint32_t column : report.unavailable) {
-      MarkColumnFailed(column);
-    }
-    SWIFT_RETURN_IF_ERROR(status);
-    Metrics().parity_reconstructions->Increment(targets.size());
-    if (report.erasures >= 2) {
-      Metrics().multi_failure_repairs->Increment();
-    }
-    for (size_t i = first; i < last; ++i) {
-      if (pieces[i].length != unit) {
-        std::memcpy(pieces[i].dst, outs[i - first] + pieces[i].agent_offset % unit,
-                    pieces[i].length);
-        CountBufferCopy(pieces[i].length);
-      }
-    }
+  std::vector<uint32_t> erased = failed_columns();
+  erased.insert(erased.end(), avoid.begin(), avoid.end());
+  RowDecodeReport report;
+  const Status status = decoder_.Decode(targets, erased, report);
+  return RecordDecode(status, report, targets.size());
+}
+
+Status SwiftFile::RecordDecode(const Status& status, const RowDecodeReport& report,
+                               size_t units) {
+  for (uint32_t column : report.unavailable) {
+    MarkColumnFailed(column);
   }
+  SWIFT_RETURN_IF_ERROR(status);
+  Metrics().parity_reconstructions->Increment(units);
+  Metrics().multi_failure_repairs->Increment(report.multi_erasure_rows);
   return OkStatus();
 }
 
@@ -891,20 +903,35 @@ Status SwiftFile::RepairReadOp(const RangeRead& op) {
 Status SwiftFile::RepairRow(uint64_t row) {
   const uint64_t unit = layout_.config().stripe_unit;
   const uint64_t row_offset = row * unit;
-  for (uint32_t c = 0; c < layout_.config().num_agents; ++c) {
-    if (ColumnFailed(c)) {
-      continue;  // covered by parity; nothing stored to repair
+  const uint32_t agents = layout_.config().num_agents;
+  // Every live unit of the row in one batch; the agents' stores verify them.
+  std::vector<Status> stored;
+  {
+    OpBatch batch(&distribution_);
+    for (uint32_t c = 0; c < agents; ++c) {
+      if (ColumnFailed(c)) {
+        continue;  // covered by parity; nothing stored to repair
+      }
+      batch.Submit(c, [this, c, row_offset, unit](AgentTransport* transport,
+                                                  DistributionAgent::Completion done) {
+        transport->StartRead(handles_[c], row_offset, unit,
+                             [done = std::move(done)](Result<BufferSlice> data) {
+                               done(data.status());
+                             });
+      });
     }
-    auto stored = distribution_.transport(c)->Read(handles_[c], row_offset, unit);
-    if (stored.ok()) {
+    stored = batch.Wait();
+  }
+  for (uint32_t c = 0; c < agents; ++c) {
+    if (ColumnFailed(c) || stored[c].ok()) {
       continue;  // unit verified clean by the agent's store
     }
-    if (stored.code() == StatusCode::kUnavailable) {
+    if (stored[c].code() == StatusCode::kUnavailable) {
       MarkColumnFailed(c);
-      return stored.status();  // caller's retry loop re-plans degraded
+      return stored[c];  // caller's retry loop re-plans degraded
     }
-    if (stored.code() != StatusCode::kDataCorrupt) {
-      return stored.status();
+    if (stored[c].code() != StatusCode::kDataCorrupt) {
+      return stored[c];
     }
     Buffer rebuilt = Buffer::Allocate(unit);
     const RangeRead whole[1] = {{c, row_offset, unit, rebuilt.data()}};

@@ -19,8 +19,11 @@
 // Failure model (§2's computed-copy redundancy, generalized to k+m erasure
 // coding): with parity enabled the object's codec stores m parity units per
 // row — up to m concurrent failed agents are survived. Reads rebuild lost
-// units through the row decoder (src/core/row_decode.h): one decode per row
-// for all of its lost units, each survivor read once. Writes keep every live
+// units through the row decoder (src/core/row_decode.h) inside the read's
+// own batch: the live data units the read fetches are the decode's
+// survivors, only the missing ones (usually live parity units) are added,
+// and every row the read touches decodes from that one round trip. Writes
+// keep every live
 // parity unit consistent so later reconstruction yields the new data
 // (including writes *to* failed agents, which land only in parity). More
 // than m failures is kDataLoss.
@@ -179,12 +182,15 @@ class SwiftFile {
   // most one hedge per batch; the global governor keeps hedges ≤5% of reads.
   std::vector<Status> WaitHedged(OpBatch& batch, HedgeTracker& tracker,
                                  std::vector<HedgeTracker::Op>* parked);
-  // Rebuilds `ranges` through the row decoder, writing nothing back: one
-  // decode per row for all the units the ranges touch there, whole units in
-  // place, fragments via scratch. Failed columns and `avoid` (hedged-away
+  // Rebuilds `ranges` in place through the row decoder, writing nothing
+  // back: every row they touch in one batch, each survivor read once over
+  // the hull of its row's ranges. Failed columns and `avoid` (hedged-away
   // stragglers) are not read; survivors found unavailable are marked failed.
   Status ReconstructRanges(std::span<const RangeRead> ranges,
                            std::span<const uint32_t> avoid = {});
+  // Marks the decode's unavailable survivors failed; on success counts the
+  // `units` rebuilt and the rows decoded around two or more erasures.
+  Status RecordDecode(const Status& status, const RowDecodeReport& report, size_t units);
   // The hedge arm delay: max over live columns of srtt + hedge_k·rttvar,
   // clamped to [hedge_floor_us, hedge_cap_us]; the cap when no column has an
   // RTT estimate yet.
@@ -193,8 +199,9 @@ class SwiftFile {
   // requested slice into the op's destination, and best-effort writes the
   // rebuilt units back (read-repair).
   Status RepairReadOp(const RangeRead& op);
-  // Verifies every live unit of `row` and rewrites corrupt ones from parity
-  // reconstruction. Used when a read-modify-write gather hits kDataCorrupt.
+  // Verifies every live unit of `row`, read in one batch, and rewrites
+  // corrupt ones from parity reconstruction. Used when a read-modify-write
+  // gather hits kDataCorrupt.
   Status RepairRow(uint64_t row);
   // Concurrent column failures the object's codec covers (m with parity on,
   // 0 without).

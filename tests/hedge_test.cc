@@ -207,5 +207,47 @@ TEST(HedgeTest, HedgedReadReconstructsAndAbsorbsLateReplies) {
   EXPECT_FALSE((*file)->degraded());
 }
 
+// Degraded and hedged at once: RS(4,2) with one failed column keeps one
+// parity unit to spare, so a straggler holding a survivor the degraded read
+// decodes from is hedged too. The hedge rebuilds the straggler's range first,
+// then the failed column's unit decodes from it: byte-exact, and only the
+// failed column is marked.
+TEST(HedgeTest, DegradedRs42HedgedReadIsExact) {
+  SlowableCluster cluster(6);
+  ObjectDirectory directory;
+  TransferPlan plan = ParityPlanFor("degraded", 6);
+  plan.stripe.parity_units = 2;
+  plan.stripe.codec = ErasureKind::kReedSolomon;
+  auto file = SwiftFile::Create(plan, cluster.Transports(), &directory, HedgedOptions());
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const uint64_t row_bytes = plan.stripe.RowDataBytes();
+  std::vector<uint8_t> data = Pattern(4 * row_bytes, 11);
+  ASSERT_TRUE((*file)->Write(data).ok());
+  const std::vector<uint8_t> first_row(data.begin(), data.begin() + row_bytes);
+
+  const StripeLayout& layout = (*file)->layout();
+  const uint32_t lost = layout.AgentAtPosition(0, 0);
+  const uint32_t straggler = layout.AgentAtPosition(0, 1);
+  (*file)->MarkColumnFailed(lost);
+  std::vector<uint8_t> row_buf(row_bytes);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE((*file)->PRead(0, row_buf).ok());
+    ASSERT_EQ(row_buf, first_row);
+  }
+
+  const uint64_t attempts_before = CounterValue("swift_hedge_attempts_total");
+  cluster.agents[straggler]->store.set_slow(true);
+  auto n = (*file)->PRead(0, row_buf);
+  cluster.agents[straggler]->store.set_slow(false);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(row_buf, first_row);
+  EXPECT_GT(CounterValue("swift_hedge_attempts_total"), attempts_before);
+  EXPECT_EQ((*file)->failed_columns(), std::vector<uint32_t>{lost});
+
+  std::vector<uint8_t> read_back(data.size());
+  ASSERT_TRUE((*file)->PRead(0, read_back).ok());
+  EXPECT_EQ(read_back, data);
+}
+
 }  // namespace
 }  // namespace swift
