@@ -25,16 +25,18 @@ if [ "${SAN_PRESET}" != "tsan" ]; then
   # and read-repair run inside completion callbacks on reactor threads), the
   # sharded/batched UDP paths (per-shard arenas, lossy multi-shard e2e),
   # the partial-row write batch (parity and data completions land on
-  # transport threads, re-sends follow), and the row decoder behind degraded
+  # transport threads, re-sends follow), the row decoder behind degraded
   # reads, rebuild and scrub (survivor reads complete and fold on pool and
-  # transport threads) are only meaningfully exercised under
-  # ThreadSanitizer; run just those suites so the default gate stays fast.
+  # transport threads), and the distribution agent's op dispatch (ops start
+  # on submitters, completing reactor threads or the pool) are only
+  # meaningfully exercised under ThreadSanitizer; run just those suites so
+  # the default gate stays fast.
   # Full build: ctest needs every discovered test's include file.
-  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode concurrency (tsan) =="
+  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode + op dispatch concurrency (tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --test-dir build-tsan \
-    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode' \
+    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode|^AsyncTransport|^OpBatch|^DistributionAgent|^AsyncPipeline' \
     -j "${JOBS}" --output-on-failure
 fi
 

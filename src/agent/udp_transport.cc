@@ -45,6 +45,7 @@ struct ClientMetrics {
   Counter* retransmissions;
   Counter* backoff_resets;
   Counter* reactor_wakeups;
+  Counter* wake_writes;
   Counter* overloaded_replies;
   Counter* deadline_failures;
   Counter* cancelled_reads;
@@ -61,6 +62,7 @@ const ClientMetrics& Metrics() {
         registry.GetCounter("swift_udp_client_retransmissions_total"),
         registry.GetCounter("swift_udp_client_backoff_resets_total"),
         registry.GetCounter("swift_udp_client_reactor_wakeups_total"),
+        registry.GetCounter("swift_udp_client_wake_writes_total"),
         registry.GetCounter("swift_udp_client_overloaded_replies_total"),
         registry.GetCounter("swift_udp_client_deadline_failures_total"),
         registry.GetCounter("swift_udp_client_cancelled_reads_total"),
@@ -166,11 +168,19 @@ void PatchDeadline(std::vector<uint8_t>& head, uint64_t budget_us) {
 //    A datagram the kernel refuses mid-batch is treated as lost on the wire
 //    (the retry machinery recovers, identical failure semantics); only a
 //    closed socket fails Send() synchronously.
-//  * An op's completion runs exactly once, on the reactor thread, after
-//    which the op is destroyed. Completions must not block on this
-//    transport (sync wrappers wait on their own condition variable, which
-//    the completion signals — that is fine).
+//  * An op's completion runs exactly once, on the reactor thread with
+//    `mutex_` released, after which the op is destroyed. Completions may
+//    start new ops, on this transport too (the distribution agent starts a
+//    column's next queued op from the completion that frees its slot; such
+//    ops wait in the inbox for the next loop turn, with no pipe wake), but
+//    must not block on it (sync wrappers wait on their own condition
+//    variable, which the completion signals — that is fine).
 // ---------------------------------------------------------------------------
+
+namespace {
+// The reactor whose loop runs on this thread, if any.
+thread_local const void* t_running_reactor = nullptr;
+}  // namespace
 
 class UdpTransport::Reactor {
  public:
@@ -1061,13 +1071,17 @@ class UdpTransport::Reactor {
   }
 
   void SubmitOp(std::unique_ptr<PendingOp> op) {
+    bool wake;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       SWIFT_CHECK(!stop_) << "op submitted to a stopped transport";
       ++live_ops_;
+      wake = NeedsWake();
       inbox_.push_back(std::move(op));
     }
-    Wake();
+    if (wake) {
+      Wake();
+    }
   }
 
   // Requests cancellation of a pending op (any thread). Processed on the
@@ -1076,14 +1090,18 @@ class UdpTransport::Reactor {
   // Because SubmitOp and Cancel go through the same mutex, the op can never
   // arrive in a LATER inbox swap than its cancel.
   void Cancel(uint32_t request_id) {
+    bool wake;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stop_) {
         return;  // shutdown aborts everything anyway
       }
+      wake = NeedsWake();
       cancels_.push_back(request_id);
     }
-    Wake();
+    if (wake) {
+      Wake();
+    }
   }
 
   // Blocks until every submitted op has completed.
@@ -1289,8 +1307,23 @@ class UdpTransport::Reactor {
 
  private:
   void Wake() {
+    Metrics().wake_writes->Increment();
     const uint8_t byte = 1;
     [[maybe_unused]] ssize_t n = write(wake_fds_[1], &byte, 1);
+  }
+
+  // Under mutex_, before adding to the inbox or the cancels: whether the
+  // pipe must be written. The loop swaps both lists before it polls, so only
+  // the first addition to empty lists writes it; later ones ride that
+  // wake-up. The reactor thread itself (an op started from a completion)
+  // never writes it: an addition made after this turn's swap makes the
+  // coming poll return at once instead.
+  bool NeedsWake() {
+    if (t_running_reactor == this) {
+      requeued_ = true;
+      return false;
+    }
+    return inbox_.empty() && cancels_.empty();
   }
 
   // Re-derives the pace from the channel's live state: twice the measured
@@ -1489,6 +1522,7 @@ class UdpTransport::Reactor {
   }
 
   void Run() {
+    t_running_reactor = this;
     std::vector<pollfd> pfds;
     for (;;) {
       std::vector<std::unique_ptr<PendingOp>> fresh;
@@ -1503,6 +1537,7 @@ class UdpTransport::Reactor {
         cancels.swap(cancels_);
         gone.swap(removals_);
         snapshot = sessions_;
+        requeued_ = false;
       }
 
       if (stopping) {
@@ -1625,6 +1660,11 @@ class UdpTransport::Reactor {
           timeout_ms = timeout_ms < 0 ? held_ms : std::min(timeout_ms, held_ms);
         }
       }
+      if (requeued_) {
+        // A completion since the swap (a fresh op failing at start, a
+        // cancellation, an abort, a window dispatch) added to the inbox.
+        timeout_ms = 0;
+      }
       ::poll(pfds.data(), pfds.size(), timeout_ms);
       Metrics().reactor_wakeups->Increment();
 
@@ -1706,6 +1746,9 @@ class UdpTransport::Reactor {
   std::vector<uint32_t> cancels_;  // request ids to cancel next iteration
   std::map<uint32_t, SessionPtr> handles_;
   uint64_t live_ops_ = 0;  // inbox + active, for Drain()
+  // Reactor-thread only: the reactor added to the inbox or the cancels
+  // since its last swap.
+  bool requeued_ = false;
 
   // Congestion state (reactor-thread private; cc_mode_ is const). Declared
   // before thread_ so the reactor loop never races construction.

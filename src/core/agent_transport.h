@@ -21,8 +21,10 @@
 //     invoked exactly once — either inline before Start* returns (transports
 //     that complete synchronously; `max_in_flight() == 1`) or later from a
 //     transport-internal service thread. Completions must therefore be safe
-//     to run on any thread, and must not block on the transport they came
-//     from.
+//     to run on any thread. They may call Start* on any transport, the one
+//     they came from included (the distribution agent starts a column's next
+//     queued op from the completion that frees its window slot), but must
+//     never block.
 //   * At most max_in_flight() ops may be outstanding per instance. A
 //     transport advertising 1 keeps the old synchronous contract: one call
 //     at a time per instance (calls to *different* instances may be

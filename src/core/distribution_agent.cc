@@ -32,6 +32,37 @@ const DistMetrics& Metrics() {
   return metrics;
 }
 
+// An op granted a window slot on this thread, not yet started.
+struct GrantedOp {
+  AgentTransport* transport;
+  DistributionAgent::AsyncOp op;
+  DistributionAgent::Completion done;
+};
+
+// This thread's granted ops. An op whose start completes inline frees its
+// slot, and the next op is granted, from inside the first op's start; it
+// waits here for the outermost start to return, so a column of inline
+// completions runs as a loop rather than a recursion.
+struct ThreadStarts {
+  std::vector<GrantedOp> ops;
+  bool running = false;
+};
+thread_local ThreadStarts t_starts;
+
+// Wraps `op` so it runs in the submitter's trace context on whichever thread
+// starts it; the op's span counts the wait from now as client_queue time.
+DistributionAgent::AsyncOp CarryTraceContext(DistributionAgent::AsyncOp op) {
+  TraceContext context = CurrentTraceContext();
+  if (!context.present()) {
+    return op;
+  }
+  return [context, queued_ns = FlightRecorder::NowNs(), inner = std::move(op)](
+             AgentTransport* transport, DistributionAgent::Completion done) {
+    ScopedTraceContext scope(context, queued_ns);
+    inner(transport, std::move(done));
+  };
+}
+
 }  // namespace
 
 DistributionAgent::DistributionAgent(std::vector<AgentTransport*> transports)
@@ -40,6 +71,9 @@ DistributionAgent::DistributionAgent(std::vector<AgentTransport*> transports)
 DistributionAgent::DistributionAgent(std::vector<AgentTransport*> transports, Options options)
     : transports_(std::move(transports)), options_(options), columns_(transports_.size()) {
   SWIFT_CHECK(!transports_.empty()) << "a distribution agent needs at least one storage agent";
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].on_pool = transports_[c]->max_in_flight() <= 1;
+  }
   uint32_t workers = options_.workers;
   if (workers == 0) {
     workers = std::min<uint32_t>(static_cast<uint32_t>(transports_.size()), kMaxWorkers);
@@ -64,7 +98,7 @@ DistributionAgent::~DistributionAgent() {
 }
 
 uint32_t DistributionAgent::window(uint32_t column) const {
-  // Re-polled on every PickColumn scan: a congestion-controlled transport's
+  // Re-polled on every grant: a congestion-controlled transport's
   // advertisement moves between batches, and the column queue must breathe
   // with it rather than pin the static max_in_flight cap.
   const uint32_t transport_cap =
@@ -72,78 +106,94 @@ uint32_t DistributionAgent::window(uint32_t column) const {
   return std::min(std::max<uint32_t>(1, options_.ops_in_flight), transport_cap);
 }
 
-size_t DistributionAgent::PickColumn() {
-  const size_t n = columns_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t c = (scan_start_ + i) % n;
-    if (!columns_[c].queue.empty() && columns_[c].in_flight < window(static_cast<uint32_t>(c))) {
-      scan_start_ = (c + 1) % n;
-      return c;
+void DistributionAgent::GrantSlots(uint32_t column) {
+  Column& col = columns_[column];
+  const uint32_t limit = window(column);
+  while (!col.queue.empty() && col.in_flight < limit) {
+    GrantedOp granted{transports_[column], std::move(col.queue.front()),
+                      [this, column](Status) { OnOpDone(column); }};
+    col.queue.pop_front();
+    ++col.in_flight;
+    Metrics().queue_depth->Add(-1);
+    Metrics().ops_in_flight->Add(1);
+    if (col.on_pool) {
+      tasks_.push_back([granted = std::move(granted)]() mutable {
+        granted.op(granted.transport, std::move(granted.done));
+      });
+      work_cv_.notify_one();
+    } else {
+      t_starts.ops.push_back(std::move(granted));
     }
   }
-  return n;
+}
+
+void DistributionAgent::StartGranted() {
+  if (t_starts.running) {
+    return;  // an op start further up this thread's stack runs them
+  }
+  t_starts.running = true;
+  for (size_t i = 0; i < t_starts.ops.size(); ++i) {
+    GrantedOp granted = std::move(t_starts.ops[i]);
+    granted.op(granted.transport, std::move(granted.done));
+  }
+  t_starts.ops.clear();
+  t_starts.running = false;
 }
 
 void DistributionAgent::WorkerLoop() {
   for (;;) {
-    AsyncOp op;
-    size_t column;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this, &column] {
-        return stopping_ || (column = PickColumn()) < columns_.size();
-      });
+      work_cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
       if (stopping_) {
         return;
       }
-      op = std::move(columns_[column].queue.front());
-      columns_[column].queue.pop_front();
-      ++columns_[column].in_flight;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    Metrics().queue_depth->Add(-1);
-    Metrics().ops_in_flight->Add(1);
-    const uint32_t c = static_cast<uint32_t>(column);
-    op(transports_[c], [this, c](Status) { OnOpDone(c); });
+    task();
   }
 }
 
 void DistributionAgent::OnOpDone(uint32_t column) {
   Metrics().ops_in_flight->Add(-1);
-  // Notify while holding the lock: the destructor waits on idle_cv_ under
-  // mutex_ and frees this object as soon as pending_ hits zero, so touching
-  // the condition variables after unlocking would race with destruction.
-  std::lock_guard<std::mutex> lock(mutex_);
-  SWIFT_CHECK(columns_[column].in_flight > 0) << "completion without a started op";
-  --columns_[column].in_flight;
-  --pending_;
-  if (!columns_[column].queue.empty()) {
-    work_cv_.notify_one();
+  {
+    // Notify while holding the lock: the destructor waits on idle_cv_ under
+    // mutex_ and frees this object as soon as pending_ hits zero, so touching
+    // the condition variables after unlocking would race with destruction.
+    std::lock_guard<std::mutex> lock(mutex_);
+    SWIFT_CHECK(columns_[column].in_flight > 0) << "completion without a started op";
+    --columns_[column].in_flight;
+    --pending_;
+    GrantSlots(column);
+    if (pending_ == 0) {
+      idle_cv_.notify_all();
+    }
   }
-  if (pending_ == 0) {
-    idle_cv_.notify_all();
-  }
+  StartGranted();
 }
 
 void DistributionAgent::Submit(uint32_t column, AsyncOp op) {
   SWIFT_CHECK(column < columns_.size()) << "column " << column << " out of range";
-  // The op runs on a pool worker; carry the submitter's trace context across
-  // so the transport op it starts joins the submitting request's trace, and
-  // its span counts the wait for a worker as client_queue time.
-  if (TraceContext context = CurrentTraceContext(); context.present()) {
-    op = [context, queued_ns = FlightRecorder::NowNs(), inner = std::move(op)](
-             AgentTransport* transport, Completion done) {
-      ScopedTraceContext scope(context, queued_ns);
-      inner(transport, std::move(done));
-    };
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     SWIFT_CHECK(!stopping_);
-    columns_[column].queue.push_back(std::move(op));
     ++pending_;
+    Column& col = columns_[column];
+    // An op that starts right away on this thread runs in the submitter's
+    // trace context as it is. Any other op waits — for a window slot, a pool
+    // worker or an op start further up this thread's stack — and carries the
+    // context along.
+    if (col.on_pool || !col.queue.empty() || col.in_flight >= window(column) ||
+        t_starts.running) {
+      op = CarryTraceContext(std::move(op));
+    }
+    col.queue.push_back(std::move(op));
+    Metrics().queue_depth->Add(1);
+    GrantSlots(column);
   }
-  Metrics().queue_depth->Add(1);
-  work_cv_.notify_one();
+  StartGranted();
 }
 
 void DistributionAgent::Flush() {
@@ -156,34 +206,54 @@ std::vector<Status> DistributionAgent::RunPerAgent(std::vector<std::function<Sta
       << "job vector must match the agent set (" << jobs.size() << " vs " << transports_.size()
       << ")";
   std::vector<Status> statuses(jobs.size());
-
-  // Count real jobs; if there is only one, run it inline (common for small
-  // unaligned accesses) and skip the pool round-trip.
-  size_t job_count = 0;
-  size_t last_job = 0;
+  size_t last_job = jobs.size();
   for (size_t c = 0; c < jobs.size(); ++c) {
     if (jobs[c]) {
-      ++job_count;
       last_job = c;
     }
   }
-  if (job_count == 0) {
-    return statuses;
-  }
-  if (job_count == 1) {
-    statuses[last_job] = jobs[last_job]();
+  if (last_job == jobs.size()) {
     return statuses;
   }
 
-  OpBatch batch(this);
-  for (size_t c = 0; c < jobs.size(); ++c) {
-    if (!jobs[c]) {
-      continue;
-    }
-    batch.Submit(static_cast<uint32_t>(c),
-                 [job = std::move(jobs[c])](AgentTransport*, Completion done) { done(job()); });
+  // Every job but the last goes to the pool; the caller runs the last one
+  // itself. The pool's tasks share ownership of the count: the last one is
+  // still unlocking when the caller's wait returns.
+  struct Fanout {
+    std::mutex mutex;
+    std::condition_variable cv;
+    size_t running = 0;
+  };
+  auto fanout = std::make_shared<Fanout>();
+  for (size_t c = 0; c < last_job; ++c) {
+    fanout->running += jobs[c] ? 1 : 0;
   }
-  return batch.Wait();
+  if (fanout->running > 0) {
+    const TraceContext context = CurrentTraceContext();
+    const uint64_t queued_ns = FlightRecorder::NowNs();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t c = 0; c < last_job; ++c) {
+      if (!jobs[c]) {
+        continue;
+      }
+      tasks_.push_back([fanout, context, queued_ns, status = &statuses[c],
+                        job = std::move(jobs[c])] {
+        {
+          ScopedTraceContext scope(context, context.present() ? queued_ns : 0);
+          *status = job();
+        }
+        std::lock_guard<std::mutex> lock(fanout->mutex);
+        if (--fanout->running == 0) {
+          fanout->cv.notify_all();
+        }
+      });
+    }
+    work_cv_.notify_all();
+  }
+  statuses[last_job] = jobs[last_job]();
+  std::unique_lock<std::mutex> lock(fanout->mutex);
+  fanout->cv.wait(lock, [&fanout] { return fanout->running == 0; });
+  return statuses;
 }
 
 // -------------------------------------------------------------------- OpBatch
@@ -247,8 +317,8 @@ std::vector<Status> OpBatch::Wait() {
   state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
   if (state_->drained_ns != 0) {
     // The waiter resumes a scheduler wake-up after the last op completed on
-    // a reactor thread: client-side queueing, the mirror of the pool wait
-    // each op's span starts with.
+    // a reactor thread: client-side queueing, the mirror of the window wait
+    // a queued op's span starts with.
     if (CurrentTraceContext().present()) {
       NoteRootStage(SpanStage::kClientQueue, state_->drained_ns, FlightRecorder::NowNs());
     }

@@ -8,14 +8,19 @@
 // the storage agents involved in the request so that they can simultaneously
 // perform the I/O operation on the striped file", §3).
 //
-// Execution model: a small fixed worker pool drains per-column op queues.
-// Ops on one column start in submission order; at most window(column) =
-// min(options.ops_in_flight, transport->max_in_flight()) ops of a column are
-// in flight at once. For synchronous transports (max_in_flight() == 1) this
-// degenerates to the old one-job-per-column contract, but without spawning a
-// fresh thread per call. For async transports (the UDP reactor) a worker is
-// only occupied for the submission itself, so several stripe-unit ops stay
-// in flight per agent — the deep pipelining that sustains high data-rates.
+// Execution model: each column keeps a queue of ops behind a window of at
+// most window(column) = min(options.ops_in_flight, transport->current_window())
+// ops in flight, and ops on one column start in submission order. Where an
+// op starts depends on what its column's transport does with it:
+//   * Asynchronous transports (max_in_flight() > 1, the UDP reactor) only
+//     hand the op on, so it starts on the thread that frees its window slot:
+//     the submitter when the window has room, otherwise the thread that
+//     delivers the completion of an earlier op on the column (a transport
+//     reactor). No thread hand-off sits in front of the transport's own.
+//   * Synchronous transports (max_in_flight() == 1) block for the whole
+//     round trip, so their ops run on a small fixed worker pool, which keeps
+//     the columns overlapping without a fresh thread per call.
+// The pool also runs RunPerAgent's blocking control-plane fan-out.
 
 #ifndef SWIFT_SRC_CORE_DISTRIBUTION_AGENT_H_
 #define SWIFT_SRC_CORE_DISTRIBUTION_AGENT_H_
@@ -38,9 +43,10 @@ namespace swift {
 class DistributionAgent {
  public:
   struct Options {
-    // Pool threads. 0 = one per column, capped at 16. Sync transports need
-    // one worker per column for full cross-column overlap; async transports
-    // get by with fewer because submission doesn't block.
+    // Pool threads. 0 = one per column, capped at 16. Columns over
+    // synchronous transports need one worker each for full cross-column
+    // overlap, as does RunPerAgent; asynchronous columns never use the pool
+    // for their ops.
     uint32_t workers = 0;
     // Target stripe-unit ops in flight per column, capped per column by the
     // transport's own max_in_flight().
@@ -60,9 +66,10 @@ class DistributionAgent {
   };
 
   using Completion = std::function<void(Status)>;
-  // One async column operation: runs on a pool worker against the column's
-  // transport and must arrange for done(status) to be invoked exactly once
-  // (inline or later, from any thread).
+  // One column operation: runs against the column's transport and must
+  // arrange for done(status) to be invoked exactly once (inline or later,
+  // from any thread). On an asynchronous column it runs on the submitter or
+  // on a completing transport thread, so it must not block.
   using AsyncOp = std::function<void(AgentTransport*, Completion done)>;
 
   // `transports` in stripe-column order; pointers must outlive this object.
@@ -76,8 +83,8 @@ class DistributionAgent {
   // Ops this column may keep in flight at once.
   uint32_t window(uint32_t column) const;
 
-  // Enqueues `op` on `column`'s queue. Ops on one column start in submission
-  // order.
+  // Starts `op` on `column` when its window has room, else queues it. Ops on
+  // one column start in submission order. May be called from a completion.
   void Submit(uint32_t column, AsyncOp op);
 
   // Blocks until every op submitted so far (on any column) has completed.
@@ -85,31 +92,37 @@ class DistributionAgent {
 
   // Runs jobs[c] for every column c with a non-empty job, all concurrently,
   // and returns the per-column statuses (OK for empty slots). `jobs` must
-  // have exactly agent_count() entries. Legacy synchronous fan-out, kept for
-  // control-plane calls (open/close/truncate); implemented on the pool.
+  // have exactly agent_count() entries. Synchronous fan-out for control-plane
+  // calls (open/close/truncate): the caller runs one job, the pool the rest.
   std::vector<Status> RunPerAgent(std::vector<std::function<Status()>> jobs);
 
  private:
   struct Column {
-    std::deque<AsyncOp> queue;
-    uint32_t in_flight = 0;  // started, completion not yet delivered
+    std::deque<AsyncOp> queue;  // waiting for a window slot
+    uint32_t in_flight = 0;     // started, completion not yet delivered
+    bool on_pool = false;       // synchronous transport: ops run on the pool
   };
 
+  // Under mutex_: hands the column's queued ops the window's free slots, in
+  // order — to the pool for a synchronous column, else to this thread's
+  // start list, which the caller runs with StartGranted() once unlocked.
+  void GrantSlots(uint32_t column);
+  // Starts the ops granted on this thread. Touches no member of any agent:
+  // each granted op keeps its agent alive until its completion.
+  static void StartGranted();
   void WorkerLoop();
-  // Under mutex_: index of a dispatchable column, or agent_count() if none.
-  size_t PickColumn();
   void OnOpDone(uint32_t column);
 
   std::vector<AgentTransport*> transports_;
   Options options_;
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;  // workers: a column became dispatchable
+  std::condition_variable work_cv_;  // workers: a task was posted
   std::condition_variable idle_cv_;  // Flush: pending_ hit zero
   std::vector<Column> columns_;
+  std::deque<std::function<void()>> tasks_;  // pool work, FIFO
   std::vector<std::thread> workers_;
-  size_t scan_start_ = 0;   // round-robin fairness across columns
-  uint64_t pending_ = 0;    // submitted - completed
+  uint64_t pending_ = 0;  // submitted - completed
   bool stopping_ = false;
 };
 

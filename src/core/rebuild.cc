@@ -1,6 +1,8 @@
 #include "src/core/rebuild.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "src/core/distribution_agent.h"
 #include "src/core/row_decode.h"
@@ -15,6 +17,66 @@ namespace {
 // Rows decoded per batch: enough to keep the UDP transport's default window
 // of eight ops per column busy.
 constexpr uint64_t kRowWindow = 8;
+
+// Same-bytes re-sends of a failed replacement write, as for SwiftFile's row
+// writes: a spare that keeps failing writes while staying reachable is
+// surfaced to the caller.
+constexpr int kMaxResends = 3;
+
+// One unit written to a replacement, and how its last send ended.
+struct ReplacementWrite {
+  uint64_t row = 0;
+  uint32_t column = 0;
+  std::span<const uint8_t> bytes;
+  Status status;
+};
+
+void SubmitWrite(OpBatch& batch, uint64_t unit, std::span<const uint32_t> handles,
+                 ReplacementWrite& write) {
+  batch.Submit(write.column, [&write, handle = handles[write.column], offset = write.row * unit](
+                                 AgentTransport* transport, DistributionAgent::Completion done) {
+    transport->StartWrite(handle, offset, write.bytes,
+                          [&write, done = std::move(done)](Status status) {
+                            write.status = status;
+                            done(std::move(status));
+                          });
+  });
+}
+
+// Re-sends, one batch at a time, the writes whose last send failed on a
+// spare that is still reachable. A spare that answers kUnavailable, or a
+// write still failing once the re-sends run out, fails the rebuild with an
+// error naming the write's row and column.
+Status ResendFailedWrites(DistributionAgent& distribution, uint64_t unit,
+                          std::span<const uint32_t> handles,
+                          std::span<ReplacementWrite> writes) {
+  for (int resend = 0;; ++resend) {
+    std::vector<ReplacementWrite*> failed;
+    for (ReplacementWrite& write : writes) {
+      if (!write.status.ok()) {
+        failed.push_back(&write);
+      }
+    }
+    if (failed.empty()) {
+      return OkStatus();
+    }
+    auto gone = std::find_if(failed.begin(), failed.end(), [](const ReplacementWrite* write) {
+      return write->status.code() == StatusCode::kUnavailable;
+    });
+    if (gone != failed.end() || resend == kMaxResends) {
+      const ReplacementWrite& write = gone != failed.end() ? **gone : *failed.front();
+      return Status(write.status.code(),
+                    "replacement write of row " + std::to_string(write.row) + " on column " +
+                        std::to_string(write.column) + " failed after " +
+                        std::to_string(resend) + " re-sends: " + write.status.message());
+    }
+    OpBatch batch(&distribution);
+    for (ReplacementWrite* write : failed) {
+      SubmitWrite(batch, unit, handles, *write);
+    }
+    batch.Wait();
+  }
+}
 
 // Decodes every row of the lost columns from the survivors and writes it to
 // the replacements, then trims each replacement to its layout size. Windows
@@ -53,37 +115,42 @@ Status RebuildRows(const ObjectMetadata& metadata, const std::vector<AgentTransp
           targets.push_back({row, lost_columns[i], 0, unit, slot(row, i)});
         }
       }
+      // The previous window's replacement writes.
+      std::vector<ReplacementWrite> writes;
+      for (uint64_t row = first > 0 ? first - kRowWindow : 0; row < first; ++row) {
+        const uint64_t row_offset = row * unit;
+        uint64_t row_bytes = 0;
+        for (size_t i = 0; i < lost; ++i) {
+          if (row_offset >= target_bytes[i]) {
+            continue;  // this replacement's file ends before the row
+          }
+          const std::span<const uint8_t> bytes(slot(row, i),
+                                               std::min(unit, target_bytes[i] - row_offset));
+          writes.push_back({row, lost_columns[i], bytes, OkStatus()});
+          row_bytes += bytes.size();
+        }
+        if (row_bytes > 0) {
+          ++report->rows_rebuilt;
+          report->bytes_written += row_bytes;
+        }
+      }
       RowDecoder::Job decode(decoder, targets, {});
       {
         OpBatch batch(&distribution);
         SWIFT_RETURN_IF_ERROR(decode.Start(batch));
-        // The previous window's replacement writes.
-        for (uint64_t row = first > 0 ? first - kRowWindow : 0; row < first; ++row) {
-          const uint64_t row_offset = row * unit;
-          uint64_t row_bytes = 0;
-          for (size_t i = 0; i < lost; ++i) {
-            if (row_offset >= target_bytes[i]) {
-              continue;  // this replacement's file ends before the row
-            }
-            const uint32_t column = lost_columns[i];
-            const std::span<const uint8_t> bytes(slot(row, i),
-                                                 std::min(unit, target_bytes[i] - row_offset));
-            batch.Submit(column, [&handles, column, row_offset, bytes](
-                                     AgentTransport* transport,
-                                     DistributionAgent::Completion done) {
-              transport->StartWrite(handles[column], row_offset, bytes, std::move(done));
-            });
-            row_bytes += bytes.size();
-          }
-          if (row_bytes > 0) {
-            ++report->rows_rebuilt;
-            report->bytes_written += row_bytes;
-          }
+        for (ReplacementWrite& write : writes) {
+          SubmitWrite(batch, unit, handles, write);
         }
-        for (const Status& status : batch.Wait()) {
-          SWIFT_RETURN_IF_ERROR(status);
+        // The replacements are never read: their columns' statuses are the
+        // writes', which are checked (and re-sent) one by one below.
+        const std::vector<Status> statuses = batch.Wait();
+        for (uint32_t c = 0; c < statuses.size(); ++c) {
+          if (std::find(lost_columns.begin(), lost_columns.end(), c) == lost_columns.end()) {
+            SWIFT_RETURN_IF_ERROR(statuses[c]);
+          }
         }
       }
+      SWIFT_RETURN_IF_ERROR(ResendFailedWrites(distribution, unit, handles, writes));
       SWIFT_RETURN_IF_ERROR(decode.Finish({}));
     }
   }

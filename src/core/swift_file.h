@@ -73,7 +73,7 @@ class SwiftFile {
   // Creates a new object with `plan`'s geometry, records it in `directory`,
   // and opens (creating) the per-agent backing files. `transports` must be
   // in stripe-column order and outlive the file. `io_options` sizes the
-  // worker pool and the per-column op window.
+  // control-plane worker pool and the per-column op window.
   static Result<std::unique_ptr<SwiftFile>> Create(
       const TransferPlan& plan, std::vector<AgentTransport*> transports,
       ObjectDirectory* directory, DistributionAgent::Options io_options = {});

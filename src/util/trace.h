@@ -130,10 +130,11 @@ struct TraceContext {
 TraceContext CurrentTraceContext();
 void SetCurrentTraceContext(const TraceContext& context);
 
-// When a worker pool runs an op on behalf of the thread that queued it: the
-// time it was queued (FlightRecorder::NowNs), else 0. A transport op's span
-// starts there, so the pool hand-off counts as client_queue time instead of
-// an unattributed gap before the first op.
+// When an op queued by one thread is started later (on a worker pool, or on
+// the thread that frees its window slot): the time it was queued
+// (FlightRecorder::NowNs), else 0. A transport op's span starts there, so
+// the wait counts as client_queue time instead of an unattributed gap
+// before the first op.
 uint64_t CurrentOpQueuedNs();
 void SetCurrentOpQueuedNs(uint64_t queued_ns);
 
@@ -189,7 +190,7 @@ TraceContext NewRootContext();
 // The per-hop stage taxonomy (DESIGN.md §14). Stage durations are what the
 // timeline attributes client-observed latency to.
 enum class SpanStage : uint8_t {
-  kClientQueue = 1,  // submit → reactor pickup (worker pool + client op queue)
+  kClientQueue = 1,  // submit → reactor pickup (client window wait + inbox)
   kSendFlush = 2,    // reactor pickup → send batch flushed to the kernel
   kWire = 3,         // flush → completion (network + remote, from the client)
   kRecvBatch = 4,    // datagram kernel receive → server processing start

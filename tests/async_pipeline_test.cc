@@ -1,14 +1,20 @@
 // Tests of the asynchronous transport core: the RetryPolicy schedule shared
 // by every UDP op state machine, the completion-based StartRead/StartWrite
-// API on both transports, OpBatch status aggregation, and a pipelined
-// stress run over real sockets with injected loss plus an agent crash —
-// reads must stay byte-identical through parity reconstruction.
+// API on both transports, OpBatch status aggregation, where the
+// distribution agent starts each op (submitter, completing thread or pool),
+// and a pipelined stress run over real sockets with injected loss plus an
+// agent crash — reads must stay byte-identical through parity
+// reconstruction.
 
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <deque>
+#include <latch>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "src/agent/backing_store.h"
@@ -229,6 +235,76 @@ TEST(AsyncTransportTest, LossyReadIntoUserBufferIsByteExact) {
   EXPECT_GE(stats.bytes_read, out.size());
 }
 
+// Each read started from the previous read's completion runs on the
+// reactor thread, which swaps its inbox before it polls: only the first
+// read, submitted from outside, writes the wake pipe.
+TEST(AsyncTransportTest, ReadsStartedFromCompletionsDoNotWakeTheReactor) {
+  InMemoryBackingStore store;
+  StorageAgentCore core(&store);
+  UdpAgentServer server(&core, {});
+  ASSERT_TRUE(server.Start().ok());
+  UdpTransport transport(server.port(), {});
+  auto opened = transport.Open("obj", kOpenCreate);
+  ASSERT_TRUE(opened.ok());
+  std::vector<uint8_t> data = Pattern(KiB(4), 3);
+  ASSERT_TRUE(transport.Write(opened->handle, 0, data).ok());
+
+  constexpr int kChain = 32;
+  Counter* wake_writes = MetricRegistry::Global().GetCounter("swift_udp_client_wake_writes_total");
+  const uint64_t before = wake_writes->Value();
+  std::vector<uint8_t> out(data.size());
+  Collector reads;
+  std::function<void(int)> read = [&](int i) {
+    transport.StartReadInto(opened->handle, 0, out, [&, i](Status status) {
+      if (i + 1 < kChain) {
+        read(i + 1);
+      }
+      reads.ExpectOk(std::move(status));
+    });
+  };
+  read(0);
+  reads.WaitFor(kChain);
+  EXPECT_LE(wake_writes->Value() - before, 1u);
+  EXPECT_EQ(out, data);
+}
+
+// A cancellation completes its read on the reactor thread after the loop's
+// inbox swap; a read started from that completion must still go out, with
+// no other op in flight to end the coming poll.
+TEST(AsyncTransportTest, ReadStartedFromACancellationStillRuns) {
+  InMemoryBackingStore store;
+  StorageAgentCore core(&store);
+  UdpAgentServer server(&core, {});
+  ASSERT_TRUE(server.Start().ok());
+  UdpTransport::Options options;
+  options.initial_timeout_ms = 20;
+  options.max_timeout_ms = 40;
+  options.max_retries = 3;
+  UdpTransport transport(server.port(), options);
+  auto opened = transport.Open("obj", kOpenCreate);
+  ASSERT_TRUE(opened.ok());
+  server.Stop();  // the first read stays in flight until cancelled
+
+  std::vector<uint8_t> out(KiB(4));
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::optional<Status> second;
+  const uint64_t token = transport.StartCancellableReadInto(
+      opened->handle, 0, out, [&](Status status) {
+        EXPECT_EQ(status.code(), StatusCode::kCancelled);
+        transport.StartReadInto(opened->handle, 0, out, [&](Status status) {
+          std::lock_guard<std::mutex> lock(mutex);
+          second = std::move(status);
+          cv.notify_all();
+        });
+      });
+  ASSERT_NE(token, 0u);
+  transport.CancelRead(token);
+  std::unique_lock<std::mutex> lock(mutex);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return second.has_value(); }));
+  EXPECT_EQ(second->code(), StatusCode::kUnavailable);  // its agent is gone
+}
+
 TEST(AsyncTransportTest, InProcCompletesInlineAndCounts) {
   InMemoryBackingStore store;
   StorageAgentCore core(&store);
@@ -334,6 +410,211 @@ TEST(DistributionAgentTest, WindowIsCappedByTransportMaxInFlight) {
   DistributionAgent agent({&transport}, options);
   // InProc advertises max_in_flight() == 1: no pipelining against it.
   EXPECT_EQ(agent.window(0), 1u);
+}
+
+// ------------------------------------------------------------ op dispatch --
+
+// An asynchronous transport the test completes by hand: every Start* records
+// the thread it ran on and parks its completion until CompleteNext().
+class ManualTransport : public AgentTransport {
+ public:
+  Result<AgentOpenResult> Open(const std::string&, uint32_t) override {
+    return AgentOpenResult{};
+  }
+  Status Write(uint32_t, uint64_t, std::span<const uint8_t>) override { return OkStatus(); }
+  Result<BufferSlice> Read(uint32_t, uint64_t, uint64_t) override { return BufferSlice(); }
+  Result<uint64_t> Stat(uint32_t) override { return uint64_t{0}; }
+  Status Truncate(uint32_t, uint64_t) override { return OkStatus(); }
+  Status Close(uint32_t) override { return OkStatus(); }
+  Status Remove(const std::string&) override { return OkStatus(); }
+  void StartWrite(uint32_t, uint64_t, std::span<const uint8_t>, WriteCompletion done) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    start_threads_.push_back(std::this_thread::get_id());
+    parked_.push_back(std::move(done));
+    max_outstanding_ = std::max(max_outstanding_, parked_.size());
+  }
+  uint32_t max_in_flight() const override { return 4; }
+
+  // Runs the oldest parked completion on the calling thread.
+  void CompleteNext() {
+    WriteCompletion done;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ASSERT_FALSE(parked_.empty());
+      done = std::move(parked_.front());
+      parked_.pop_front();
+    }
+    done(OkStatus());
+  }
+  std::vector<std::thread::id> start_threads() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return start_threads_;
+  }
+  size_t max_outstanding() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return max_outstanding_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::deque<WriteCompletion> parked_;
+  std::vector<std::thread::id> start_threads_;
+  size_t max_outstanding_ = 0;
+};
+
+// An in-process transport that advertises a window: it completes every op
+// inline, yet the distribution agent treats it as asynchronous.
+class InlineWindowedTransport : public InProcTransport {
+ public:
+  using InProcTransport::InProcTransport;
+  uint32_t max_in_flight() const override { return 4; }
+};
+
+void StartEmptyWrite(AgentTransport* transport, DistributionAgent::Completion done) {
+  transport->StartWrite(0, 0, {}, std::move(done));
+}
+
+// Completes the transport's oldest parked op on a thread of its own and
+// returns that thread's id.
+std::thread::id CompleteOnNewThread(ManualTransport& transport) {
+  std::thread::id id;
+  std::thread completer([&] {
+    id = std::this_thread::get_id();
+    transport.CompleteNext();
+  });
+  completer.join();
+  return id;
+}
+
+TEST(DistributionAgentTest, AsyncOpStartsOnTheThreadThatFreesItsSlot) {
+  ManualTransport transport;
+  DistributionAgent::Options options;
+  options.ops_in_flight = 1;
+  DistributionAgent agent({&transport}, options);
+  OpBatch batch(&agent);
+  for (int i = 0; i < 3; ++i) {
+    batch.Submit(0, StartEmptyWrite);
+  }
+  // The window had room for the first op only: it started right here.
+  ASSERT_EQ(transport.start_threads().size(), 1u);
+  EXPECT_EQ(transport.start_threads()[0], std::this_thread::get_id());
+
+  // Each completion frees the slot and starts the next queued op on the
+  // completing thread.
+  const std::thread::id first = CompleteOnNewThread(transport);
+  const std::thread::id second = CompleteOnNewThread(transport);
+  transport.CompleteNext();
+  for (const Status& status : batch.Wait()) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  const std::vector<std::thread::id> starts = transport.start_threads();
+  ASSERT_EQ(starts.size(), 3u);
+  EXPECT_EQ(starts[1], first);
+  EXPECT_EQ(starts[2], second);
+  EXPECT_EQ(transport.max_outstanding(), 1u);
+}
+
+TEST(DistributionAgentTest, CompletionMaySubmitToTheSameAgent) {
+  ManualTransport transport;
+  DistributionAgent::Options options;
+  options.ops_in_flight = 1;
+  DistributionAgent agent({&transport}, options);
+  std::mutex mutex;
+  std::vector<int> order;
+  auto op = [&](int id) {
+    return [&, id](AgentTransport* t, DistributionAgent::Completion done) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(id);
+      }
+      StartEmptyWrite(t, std::move(done));
+    };
+  };
+  // Op 0's completion submits op 2 while op 0 still holds the only slot and
+  // op 1 waits for it.
+  agent.Submit(0, [&](AgentTransport* t, DistributionAgent::Completion done) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      order.push_back(0);
+    }
+    t->StartWrite(0, 0, {}, [&, done = std::move(done)](Status status) {
+      agent.Submit(0, op(2));
+      done(std::move(status));
+    });
+  });
+  agent.Submit(0, op(1));
+  CompleteOnNewThread(transport);
+  CompleteOnNewThread(transport);
+  transport.CompleteNext();
+  agent.Flush();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(DistributionAgentTest, InlineCompletionsChainWithoutRecursing) {
+  InMemoryBackingStore store;
+  StorageAgentCore core(&store);
+  InlineWindowedTransport transport(&core);
+  DistributionAgent agent({&transport});
+  ASSERT_EQ(agent.window(0), 4u);
+  // Every op completes inside its own start, and each completion submits the
+  // next op: a long chain that must run as a loop on this thread.
+  constexpr int kChain = 20000;
+  int started = 0;
+  std::function<void(AgentTransport*, DistributionAgent::Completion)> op =
+      [&](AgentTransport* t, DistributionAgent::Completion done) {
+        ++started;
+        t->StartWrite(0, 0, {}, [&, done = std::move(done)](Status status) {
+          if (started < kChain) {
+            agent.Submit(0, op);
+          }
+          done(std::move(status));
+        });
+      };
+  agent.Submit(0, op);
+  agent.Flush();
+  EXPECT_EQ(started, kChain);
+}
+
+TEST(DistributionAgentTest, RunPerAgentJobsOverlapOnAsyncColumns) {
+  ManualTransport t0;
+  ManualTransport t1;
+  DistributionAgent agent({&t0, &t1});
+  // Each job waits for the other to arrive: both finish only if they run at
+  // the same time.
+  std::latch both(2);
+  std::vector<Status> statuses = agent.RunPerAgent({
+      [&] {
+        both.arrive_and_wait();
+        return OkStatus();
+      },
+      [&] {
+        both.arrive_and_wait();
+        return OkStatus();
+      },
+  });
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_TRUE(statuses[1].ok());
+}
+
+TEST(DistributionAgentTest, SyncColumnsOverlapAcrossColumns) {
+  InMemoryBackingStore store;
+  StorageAgentCore core(&store);
+  InProcTransport t0(&core);
+  InProcTransport t1(&core);
+  DistributionAgent agent({&t0, &t1});
+  ASSERT_EQ(agent.window(0), 1u);
+  std::latch both(2);
+  OpBatch batch(&agent);
+  for (uint32_t c = 0; c < 2; ++c) {
+    batch.Submit(c, [&](AgentTransport*, DistributionAgent::Completion done) {
+      both.arrive_and_wait();
+      done(OkStatus());
+    });
+  }
+  for (const Status& status : batch.Wait()) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
 }
 
 // ------------------------------------------------------------- stress test --

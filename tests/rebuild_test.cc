@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/agent/local_cluster.h"
 #include "src/core/rebuild.h"
 #include "src/proto/message.h"
@@ -148,12 +150,16 @@ TEST(RebuildTest, EmptyObjectRebuildsToEmpty) {
 }
 
 // Forwards to an agent's transport, but can make Open or every read answer
-// kUnavailable: an agent that is down at open, or dies after it.
+// kUnavailable (an agent that is down at open, or dies after it), and fail
+// writes with kIoError while staying reachable.
 class FlakyTransport : public AgentTransport {
  public:
   explicit FlakyTransport(AgentTransport* inner) : inner_(inner) {}
   bool fail_open = false;
   bool fail_reads = false;
+  bool fail_writes = false;
+  std::atomic<int> fail_next_writes{0};
+  std::atomic<int> writes{0};
 
   Result<AgentOpenResult> Open(const std::string& object_name, uint32_t flags) override {
     if (fail_open) {
@@ -162,6 +168,10 @@ class FlakyTransport : public AgentTransport {
     return inner_->Open(object_name, flags);
   }
   Status Write(uint32_t handle, uint64_t offset, std::span<const uint8_t> data) override {
+    ++writes;
+    if (fail_writes || fail_next_writes.fetch_sub(1) > 0) {
+      return IoError("spare refused the write");
+    }
     return inner_->Write(handle, offset, data);
   }
   Result<BufferSlice> Read(uint32_t handle, uint64_t offset, uint64_t length) override {
@@ -202,6 +212,31 @@ TEST(RebuildTest, Rs42DecodesAroundUnavailableSurvivor) {
   EXPECT_GT(report->rows_rebuilt, 0u);
   EXPECT_TRUE(fixture.ContentsIntact());
   EXPECT_TRUE(fixture.ContentsIntactAfterFreshFailure(5));
+}
+
+TEST(RebuildTest, FailedReplacementWriteIsResent) {
+  RebuildFixture fixture(4, KiB(400) + 11);
+  auto transports = fixture.cluster.TransportsFor(fixture.metadata.agent_ids);
+  FlakyTransport spare(transports[3]);
+  spare.fail_next_writes = 1;
+  transports[3] = &spare;
+  auto report = RebuildColumn(fixture.metadata, transports, 3);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(static_cast<uint64_t>(spare.writes.load()), report->rows_rebuilt + 1);
+  EXPECT_TRUE(fixture.ContentsIntact());
+  EXPECT_TRUE(fixture.ContentsIntactAfterFreshFailure(0));
+}
+
+TEST(RebuildTest, ReplacementThatKeepsFailingWritesFailsTheRebuild) {
+  RebuildFixture fixture(4, KiB(400) + 11);
+  auto transports = fixture.cluster.TransportsFor(fixture.metadata.agent_ids);
+  FlakyTransport spare(transports[3]);
+  spare.fail_writes = true;
+  transports[3] = &spare;
+  auto report = RebuildColumn(fixture.metadata, transports, 3);
+  ASSERT_EQ(report.code(), StatusCode::kIoError);
+  EXPECT_NE(report.status().message().find("row 0 on column 3"), std::string::npos)
+      << report.status().ToString();
 }
 
 TEST(RebuildTest, XorCorruptSurvivorIsDataLoss) {
