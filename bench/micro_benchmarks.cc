@@ -265,6 +265,47 @@ void BM_CopyPer4MiBRead(benchmark::State& state) {
 }
 BENCHMARK(BM_CopyPer4MiBRead)->Unit(benchmark::kMillisecond);
 
+// Client-reactor probe: 4 KiB reads on an idle 3-column stripe over UDP
+// loopback, each one stripe-unit op with nothing else in flight. Its waiter
+// drives the shared client reactor itself, so a read should write the wake
+// pipe 0 times and return from poll once. Reports, per read:
+//   * wake_writes_per_read — swift_udp_client_wake_writes_total;
+//   * reactor_wakeups_per_read — swift_udp_client_reactor_wakeups_total,
+//     which counts the waiter's own poll returns too.
+// ci.sh gates them at <= 0.05 and <= 1.05: handing each read to the reactor
+// thread and back costs one wake write and one more poll return per read.
+void BM_UdpRead4K(benchmark::State& state) {
+  constexpr size_t kBytes = MiB(1);
+  UdpStripedRig rig;
+  if (Status init = rig.Init(3, 4, /*loss=*/0, kBytes); !init.ok()) {
+    state.SkipWithError(init.ToString().c_str());
+    return;
+  }
+  Counter* wake_writes = MetricRegistry::Global().GetCounter("swift_udp_client_wake_writes_total");
+  Counter* wakeups = MetricRegistry::Global().GetCounter("swift_udp_client_reactor_wakeups_total");
+  const uint64_t writes_before = wake_writes->Value();
+  const uint64_t wakeups_before = wakeups->Value();
+  uint64_t reads = 0;
+
+  std::vector<uint8_t> out(KiB(4));
+  for (auto _ : state) {
+    auto n = rig.file->PRead((reads * KiB(4)) % kBytes, out);
+    if (!n.ok()) {
+      state.SkipWithError(n.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(out.data());
+    ++reads;
+  }
+  if (reads > 0) {
+    state.counters["wake_writes_per_read"] =
+        static_cast<double>(wake_writes->Value() - writes_before) / static_cast<double>(reads);
+    state.counters["reactor_wakeups_per_read"] =
+        static_cast<double>(wakeups->Value() - wakeups_before) / static_cast<double>(reads);
+  }
+}
+BENCHMARK(BM_UdpRead4K)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
 // Partial-row write probe: 4 KiB read-modify-writes at random 4 KiB-aligned
 // offsets of an XOR(3+1) object with 64 KiB stripe units, over in-process
 // agents so every counter is exact. Reports, per write:

@@ -27,16 +27,17 @@ if [ "${SAN_PRESET}" != "tsan" ]; then
   # the partial-row write batch (parity and data completions land on
   # transport threads, re-sends follow), the row decoder behind degraded
   # reads, rebuild and scrub (survivor reads complete and fold on pool and
-  # transport threads), and the distribution agent's op dispatch (ops start
-  # on submitters, completing reactor threads or the pool) are only
-  # meaningfully exercised under ThreadSanitizer; run just those suites so
-  # the default gate stays fast.
+  # transport threads), the distribution agent's op dispatch (ops start
+  # on submitters, completing reactor threads or the pool) and the shared
+  # client reactor (the driver role passes between waiters and the reactor
+  # thread) are only meaningfully exercised under ThreadSanitizer; run just
+  # those suites so the default gate stays fast.
   # Full build: ctest needs every discovered test's include file.
-  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode + op dispatch concurrency (tsan) =="
+  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode + op dispatch + client reactor concurrency (tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --test-dir build-tsan \
-    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode|^AsyncTransport|^OpBatch|^DistributionAgent|^AsyncPipeline' \
+    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode|^AsyncTransport|^OpBatch|^DistributionAgent|^AsyncPipeline|^ClientReactor' \
     -j "${JOBS}" --output-on-failure
 fi
 
@@ -100,6 +101,27 @@ awk -v t="${DEG_TRIPS}" 'BEGIN { exit !(t <= 1.0) }' \
 printf 'wire_bytes_per_user_byte %.2f (<= 1.05), round_trips_per_read %.2f (<= 1)\n' \
   "${DEG_BYTES}" "${DEG_TRIPS}"
 rm -f "${DEG_JSON}"
+
+# Client-reactor gate: a lone 4 KiB read on an idle UDP stripe is driven by
+# its waiter — no wake-pipe write and one poll return per read (budgets 0.05
+# and 1.05). Handing the read to the reactor thread and back costs one wake
+# write and a second poll return each. Read from the registry counters, so
+# the gate reads a counter, not a clock.
+echo "== client reactor gate (wake_writes_per_read <= 0.05, reactor_wakeups_per_read <= 1.05) =="
+RX_JSON="$(mktemp)"
+./build/bench/micro_benchmarks --benchmark_filter=BM_UdpRead4K \
+    --benchmark_min_time=0.2 --benchmark_format=json > "${RX_JSON}"
+RX_WAKES="$(grep -o '"wake_writes_per_read": [0-9.e+-]*' "${RX_JSON}" | head -1 | awk '{print $2}')"
+RX_POLLS="$(grep -o '"reactor_wakeups_per_read": [0-9.e+-]*' "${RX_JSON}" | head -1 | awk '{print $2}')"
+[ -n "${RX_WAKES}" ] && [ -n "${RX_POLLS}" ] \
+  || { echo "FAIL: no client-reactor counters in probe output"; cat "${RX_JSON}"; exit 1; }
+awk -v w="${RX_WAKES}" 'BEGIN { exit !(w <= 0.05) }' \
+  || { echo "FAIL: wake_writes_per_read ${RX_WAKES} > 0.05 (lone reads hop to the reactor thread)"; exit 1; }
+awk -v p="${RX_POLLS}" 'BEGIN { exit !(p <= 1.05) }' \
+  || { echo "FAIL: reactor_wakeups_per_read ${RX_POLLS} > 1.05 (lone reads hop to the reactor thread)"; exit 1; }
+printf 'wake_writes_per_read %.3f (<= 0.05), reactor_wakeups_per_read %.3f (<= 1.05)\n' \
+  "${RX_WAKES}" "${RX_POLLS}"
+rm -f "${RX_JSON}"
 
 # CRC-32 kernel gate: every striped byte pays several CRC passes (wire
 # encode/decode, at-rest seal/verify), so the kernel caps the data path.

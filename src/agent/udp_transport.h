@@ -1,13 +1,19 @@
 // Client-side UDP transport: the distribution agent's connection to one
 // real storage agent over the paper's light-weight protocol.
 //
-// Asynchronous core: every operation — reads, writes, and the control RPCs —
-// is a small state machine serviced by one shared reactor thread that
-// multiplexes all of this transport's session sockets in a single poll(2)
-// set. Submitting an op never blocks; up to Options::max_in_flight_ops stay
-// outstanding per transport, so the striping layer can pipeline several
-// stripe units per agent. The synchronous AgentTransport calls are thin
-// wrappers that submit and wait.
+// Threading: every UdpTransport is one channel on a shared client reactor —
+// like the paper's distribution agent, one engine driving many storage
+// agents at once (§2–3). A reactor polls its channels' session sockets in
+// one set, with one wake pipe and one inbox, and runs every op as a small
+// state machine; a channel keeps its column's own state (sessions, handles,
+// RTT estimator, congestion window, pacer, counters, options). The process
+// runs a fixed pool of reactor threads, so its thread count does not grow
+// with stripe width. Submitting never blocks; up to max_in_flight_ops stay
+// outstanding per channel, so the striping layer can pipeline stripe units.
+// One thread at a time drives a reactor: its own thread, or — when no thread
+// does — a caller waiting in Poll() for its only op. Then that op's request
+// leaves from, and its reply is completed on, the caller's thread: no pipe
+// write, no condition-variable hop. The synchronous calls wait that way.
 //
 // Read strategy (§3.1): the client requests data one packet at a time and
 // keeps "sufficient state to determine what packets have been received and
@@ -23,21 +29,20 @@
 // lets SwiftFile's parity machinery take over — identical failure semantics
 // to the in-proc transport.
 //
-// Congestion control (DESIGN.md §15): under the default --cc-mode=delay the
-// transport runs a per-channel LEDBAT-style controller. Every stamped
-// datagram carries a tx timestamp (patched at flush time) that the server
-// echoes back; the reactor feeds the echo into an RFC 6298 SRTT/RTTVAR
-// estimator (Karn's rule: samples from retransmitted ops are dropped) and a
-// one-way-delay base tracker. The resulting congestion window — not
-// max_in_flight_ops — is the real data-op in-flight limit (ops queue at the
-// window gate, attributed to the cc_gate span stage), sends are paced by a
-// per-channel token bucket inside the reactor flush loop, and the retry
-// timeout comes from the estimator (decorrelated-jitter backoff replaces
-// the doubling table in every mode). max_in_flight_ops remains the hard
-// cwnd ceiling, and current_window() advertises the live window to
-// schedulers. A mediator session grant's per-channel rate cap seeds the
-// initial window and bounds the pacer — coarse admission composing with
-// fine-grained CC.
+// Congestion control (DESIGN.md §15): under the default --cc-mode=delay each
+// channel runs a LEDBAT-style controller. Every stamped datagram carries a
+// tx timestamp (patched at flush time) that the server echoes back; the
+// reactor feeds the echo into an RFC 6298 SRTT/RTTVAR estimator (Karn's
+// rule: samples from retransmitted ops are dropped) and a one-way-delay base
+// tracker. The resulting congestion window — not max_in_flight_ops — is the
+// real data-op in-flight limit (ops queue at the window gate, attributed to
+// the cc_gate span stage), sends are paced by a per-channel token bucket
+// inside the flush loop, and the retry timeout comes from the estimator
+// (decorrelated-jitter backoff replaces the doubling table in every mode).
+// max_in_flight_ops remains the hard cwnd ceiling, and current_window()
+// advertises the live window to schedulers. A mediator session grant's
+// per-channel rate cap seeds the initial window and bounds the pacer —
+// coarse admission composing with fine-grained CC.
 
 #ifndef SWIFT_SRC_AGENT_UDP_TRANSPORT_H_
 #define SWIFT_SRC_AGENT_UDP_TRANSPORT_H_
@@ -177,9 +182,10 @@ class UdpTransport : public AgentTransport {
   void StartReadInto(uint32_t handle, uint64_t offset, std::span<uint8_t> out,
                      WriteCompletion done) override;
   // Cancellable variant: the token is the op's request id. CancelRead posts
-  // a cancel command to the reactor; the op completes kCancelled on the
-  // reactor thread, leaves the active set (so `out` is never written again),
-  // and any datagram that arrives afterwards is classified as late by the
+  // a cancel command to the reactor. A reply already waiting in the socket
+  // still completes the op; otherwise it completes kCancelled on the driving
+  // thread and leaves the active set (so `out` is never written again), and
+  // any datagram that arrives afterwards is classified as late by the
   // recent-done ring instead of being placed.
   uint64_t StartCancellableReadInto(uint32_t handle, uint64_t offset, std::span<uint8_t> out,
                                     WriteCompletion done) override;
@@ -194,6 +200,9 @@ class UdpTransport : public AgentTransport {
   // --cc-mode=delay (clamped to [1, max_in_flight_ops]), the static cap
   // otherwise. Schedulers re-poll this per batch.
   uint32_t current_window() const override;
+  // Drives the reactor from the calling thread when no other thread does,
+  // until at least one completion has run; 0 when another thread drives.
+  size_t Poll() override;
   void Drain() override;
   TransportStats stats() const override;
 
@@ -211,18 +220,27 @@ class UdpTransport : public AgentTransport {
 
   // --- congestion control ---------------------------------------------------
   CcMode cc_mode() const { return cc_mode_; }
+  // Takes in replies that arrived while no thread drove the reactor first,
+  // so late datagrams are counted.
   CcSnapshot cc_snapshot() const;
 
  private:
+  struct Session;
+  using SessionPtr = std::shared_ptr<Session>;
+  struct Channel;
+  class PendingOp;
   class Reactor;
 
-  uint32_t NextRequestId() { return next_request_id_.fetch_add(1, std::memory_order_relaxed); }
   void AccountOpDone(bool ok);
-  // Shared submit path for both StartReadInto flavours; returns the op's
-  // request id, or 0 when the completion already ran inline (bad handle,
-  // empty read, oversized read).
-  uint32_t SubmitReadInto(uint32_t handle, uint64_t offset, std::span<uint8_t> out,
-                          WriteCompletion done);
+  // Counts a new data op and returns its handle's session; or completes it
+  // inline through `fail` (bad handle, oversized op; OK when empty) and
+  // returns nullptr.
+  SessionPtr SessionForDataOp(uint32_t handle, uint64_t bytes,
+                              const std::function<void(Status)>& fail);
+  Result<Message> CallOnHandle(uint32_t handle, Message request, MessageType want);
+  // One RPC (`collect`: a packetized bulk pull) on a transient session to
+  // the well-known port.
+  Result<Message> CallWellKnown(Message request, MessageType want, bool collect = false);
 
   uint16_t agent_port_;
   Options options_;
@@ -240,8 +258,8 @@ class UdpTransport : public AgentTransport {
   std::atomic<uint64_t> cc_late_datagrams_{0};
   std::atomic<uint64_t> cc_dup_datagrams_{0};
 
-  std::unique_ptr<Reactor> reactor_;
-  std::atomic<uint32_t> next_request_id_{1};
+  Reactor* const reactor_;  // shared by many channels, never destroyed
+  std::unique_ptr<Channel> channel_;
 
   std::atomic<uint64_t> datagrams_sent_{0};
   std::atomic<uint64_t> retransmissions_{0};

@@ -19,12 +19,12 @@
 // Semantics:
 //   * StartRead/StartWrite submit an op and return. The completion is
 //     invoked exactly once — either inline before Start* returns (transports
-//     that complete synchronously; `max_in_flight() == 1`) or later from a
-//     transport-internal service thread. Completions must therefore be safe
-//     to run on any thread. They may call Start* on any transport, the one
-//     they came from included (the distribution agent starts a column's next
-//     queued op from the completion that frees its window slot), but must
-//     never block.
+//     that complete synchronously; `max_in_flight() == 1`) or later, from a
+//     transport-internal service thread or a caller driving the transport in
+//     Poll(). Completions must therefore be safe to run on any thread. They
+//     may call Start* on any transport, the one they came from included (the
+//     distribution agent starts a column's next queued op from the
+//     completion that frees its window slot), but must never block.
 //   * At most max_in_flight() ops may be outstanding per instance. A
 //     transport advertising 1 keeps the old synchronous contract: one call
 //     at a time per instance (calls to *different* instances may be
@@ -32,8 +32,12 @@
 //   * The bytes passed to StartWrite are consumed (copied or sent) before it
 //     returns; the span need only stay valid for the duration of the call —
 //     the same lifetime contract as the synchronous Write.
-//   * Poll() drives transports that deliver completions from the caller's
-//     thread rather than a service thread; Drain() blocks until nothing is
+//   * Poll() lets a waiting caller drive the transport itself: a transport
+//     with a service thread (the UDP reactor) may run its loop on the
+//     calling thread while no other thread does, so the caller's own op is
+//     started, answered and completed there with no thread hand-off. It
+//     returns the completions it ran; 0 means another thread delivers them,
+//     and the caller waits as usual. Drain() blocks until nothing is
 //     outstanding. Both are no-ops for synchronous transports.
 //   * Read returns exactly `length` bytes, zero-filling past the stored end
 //     of the agent file. Stripe units are conceptually zero-extended — this
@@ -49,6 +53,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/scrub_report.h"
@@ -73,6 +78,48 @@ struct TransportStats {
   uint64_t ops_failed = 0;      // completions with a non-OK status
   uint64_t bytes_read = 0;      // payload bytes successfully read
   uint64_t bytes_written = 0;   // payload bytes successfully written
+};
+
+// Held starts, for callers that wait through Poll(). An op submitted inside a
+// PollScope, on a transport with no other work, may be held: left unstarted
+// until the submitting thread's Poll() starts it on that thread, so neither
+// the request nor the reply crosses a thread. A thread holds at most one op.
+// The next PollScope it opens, or ReleaseHeld(), hands a held op to the
+// transport's own thread, so a caller that will not Poll() calls
+// ReleaseHeld() before it blocks.
+class PollScope {
+ public:
+  // What a transport registers for its held op.
+  class Holder {
+   public:
+    virtual void StartHeld() = 0;
+
+   protected:
+    ~Holder() = default;
+  };
+
+  PollScope() : outer_(active_) {
+    ReleaseHeld();
+    active_ = true;
+  }
+  ~PollScope() { active_ = outer_; }
+  PollScope(const PollScope&) = delete;
+  PollScope& operator=(const PollScope&) = delete;
+
+  // Transport side: whether the op being submitted may be held, and
+  // recording that it was. `holder` must outlive the thread's hold.
+  static bool active() { return active_; }
+  static void Hold(Holder* holder) { held_ = holder; }
+  static void ReleaseHeld() {
+    if (Holder* holder = std::exchange(held_, nullptr)) {
+      holder->StartHeld();
+    }
+  }
+
+ private:
+  static inline thread_local bool active_ = false;
+  static inline thread_local Holder* held_ = nullptr;
+  bool outer_;
 };
 
 class AgentTransport {
@@ -193,13 +240,16 @@ class AgentTransport {
   // batch breathe with the network instead of pinning the compile-time cap.
   virtual uint32_t current_window() const { return max_in_flight(); }
 
-  // Delivers completions a transport has queued for the caller's thread.
-  // Returns the number delivered. Transports with a service thread (or that
-  // complete inline) have nothing to deliver here.
+  // Called by a thread about to wait for its one outstanding op on this
+  // instance. Runs the transport's completions on the calling thread when
+  // no other thread is running them, at least one, and returns how many ran
+  // (the caller re-checks its op and may call again). Returns 0 at once when
+  // another thread delivers them, or when nothing is outstanding: the caller
+  // then blocks as usual. Transports that complete inline have nothing to run.
   virtual size_t Poll() { return 0; }
 
   // Blocks until every outstanding op on this instance has completed,
-  // delivering completions as needed.
+  // running completions on the calling thread as Poll() does.
   virtual void Drain() {}
 
   // Snapshot of this transport's lifetime op counters.

@@ -261,22 +261,27 @@ std::vector<Status> DistributionAgent::RunPerAgent(std::vector<std::function<Sta
 OpBatch::OpBatch(DistributionAgent* agent)
     : agent_(agent), state_(std::make_shared<State>()) {
   state_->column_status.resize(agent->agent_count());
+  state_->column_outstanding.resize(agent->agent_count());
 }
 
 OpBatch::~OpBatch() {
   std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
+  Await(lock);
 }
 
 void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
     ++state_->outstanding;
+    ++state_->column_outstanding[column];
     if (!state_->batch_timing_armed) {
       state_->batch_timing_armed = true;
       state_->batch_start = std::chrono::steady_clock::now();
     }
   }
+  // Wait() drives a lone op through Poll(), so the transport may hold it
+  // for this thread.
+  PollScope scope;
   // The completion captures shared ownership of the batch state, never the
   // batch itself: the waiter may destroy the OpBatch frame the instant
   // outstanding hits zero, while the completer is still unlocking.
@@ -291,6 +296,7 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
                            slot.code() != StatusCode::kUnavailable))) {
           slot = status;
         }
+        --state->column_outstanding[column];
         --state->outstanding;
         if (state->outstanding == 0) {
           state->drained_ns = FlightRecorder::NowNs();
@@ -303,8 +309,28 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
 }
 
 bool OpBatch::WaitFor(std::chrono::microseconds timeout) {
+  // A driving waiter could not keep the timeout: the transports' own
+  // threads run the batch.
+  PollScope::ReleaseHeld();
   std::unique_lock<std::mutex> lock(state_->mutex);
   return state_->cv.wait_for(lock, timeout, [this] { return state_->outstanding == 0; });
+}
+
+void OpBatch::Await(std::unique_lock<std::mutex>& lock) {
+  // One op left when the wait begins: drive its transport from this thread
+  // (no hand-off to a reactor and back). Larger batches sleep until done.
+  while (state_->outstanding == 1) {
+    const auto column = static_cast<uint32_t>(
+        std::ranges::find(state_->column_outstanding, 1u) - state_->column_outstanding.begin());
+    lock.unlock();
+    const size_t ran = agent_->transport(column)->Poll();
+    lock.lock();
+    if (ran == 0) {
+      break;
+    }
+  }
+  PollScope::ReleaseHeld();
+  state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
 }
 
 uint64_t OpBatch::Outstanding() {
@@ -314,7 +340,7 @@ uint64_t OpBatch::Outstanding() {
 
 std::vector<Status> OpBatch::Wait() {
   std::unique_lock<std::mutex> lock(state_->mutex);
-  state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
+  Await(lock);
   if (state_->drained_ns != 0) {
     // The waiter resumes a scheduler wake-up after the last op completed on
     // a reactor thread: client-side queueing, the mirror of the window wait

@@ -144,7 +144,8 @@ class OpBatch {
 
   // Blocks until every op submitted to this batch has completed; returns the
   // per-column aggregate statuses. May be called repeatedly (submit → wait →
-  // submit more → wait).
+  // submit more → wait). A wait that begins with one op outstanding drives
+  // that op's transport from this thread (AgentTransport::Poll()).
   std::vector<Status> Wait();
 
   // Waits until the batch drains or `timeout` elapses; true when it drained.
@@ -166,6 +167,7 @@ class OpBatch {
     std::mutex mutex;
     std::condition_variable cv;
     uint64_t outstanding = 0;
+    std::vector<uint32_t> column_outstanding;
     std::vector<Status> column_status;
     // For the batch-completion latency histogram: set by the first Submit of
     // a wait round, consumed (and re-armed) by Wait.
@@ -175,6 +177,9 @@ class OpBatch {
     // the waiter's wake-up; consumed by Wait.
     uint64_t drained_ns = 0;
   };
+
+  // Under the state lock: waits until nothing is outstanding.
+  void Await(std::unique_lock<std::mutex>& lock);
 
   DistributionAgent* agent_;
   std::shared_ptr<State> state_;

@@ -500,12 +500,14 @@ void SwiftFile::SubmitRead(OpBatch& batch, uint32_t column, uint64_t agent_offse
           HedgeTracker::Op& op = hedge->ops[slot];
           op.done = true;
           parked = op.parked;
+          op.landed = parked && status.ok();
         }
         if (parked) {
-          // The hedge owns this range now: whatever the transport delivered
-          // (cancellation, a late success, even an error), the batch sees OK
-          // and the range is rebuilt from parity afterwards. A real agent
-          // death still flips the column so reconstruction can see it.
+          // The hedge owns this range now: the batch sees OK whatever the
+          // transport delivered. A reply that beat the cancel landed in
+          // `dst` and stands; anything else (cancellation, an error) is
+          // rebuilt from parity afterwards. A real agent death still flips
+          // the column so reconstruction can see it.
           if (status.code() == StatusCode::kUnavailable) {
             MarkColumnFailed(column);
           }
@@ -546,7 +548,7 @@ void SwiftFile::SubmitRead(OpBatch& batch, uint32_t column, uint64_t agent_offse
     if (parked) {
       // Hedged before this op ever reached the wire: resolve without
       // touching the transport — reconstruction already covers the range.
-      completion(OkStatus());
+      completion(CancelledError("hedged before it started"));
       return;
     }
     const uint64_t token = transport->StartCancellableReadInto(
@@ -776,11 +778,20 @@ std::vector<Status> SwiftFile::WaitHedged(OpBatch& batch, HedgeTracker& tracker,
   bool armed = false;
   uint64_t last_outstanding = UINT64_MAX;
   for (;;) {
+    const auto round_start = std::chrono::steady_clock::now();
     if (batch.WaitFor(delay)) {
       break;
     }
     if (armed) {
       continue;  // at most one hedge per batch; just drain
+    }
+    // A round that overran its timeout by a whole delay means this thread
+    // was descheduled: the client stalled, so the round says nothing about
+    // the columns. (A stalled reactor is caught at the cancel instead: a
+    // reply already waiting in its socket beats the cancel and lands.)
+    if (std::chrono::steady_clock::now() - round_start > 2 * delay) {
+      last_outstanding = UINT64_MAX;
+      continue;
     }
     // Only a batch that made NO progress over a whole delay window is a
     // hedge candidate: the delay is a per-op bound (srtt + k·rttvar), so a
@@ -827,12 +838,10 @@ std::vector<Status> SwiftFile::WaitHedged(OpBatch& batch, HedgeTracker& tracker,
             continue;
           }
           op.parked = true;
-          parked->push_back(op);
           if (op.token != 0) {
             cancels.emplace_back(op.column, op.token);
           }
         }
-        Metrics().hedge_attempts->Increment();
       }
     }
     if (!stragglers.empty()) {
@@ -842,7 +851,19 @@ std::vector<Status> SwiftFile::WaitHedged(OpBatch& batch, HedgeTracker& tracker,
       }
     }
   }
-  return batch.Wait();
+  std::vector<Status> statuses = batch.Wait();
+  // The hedge takes over only the parked ranges whose reply did not land
+  // first; when every reply won its race it was no hedge at all.
+  std::lock_guard<std::mutex> lock(tracker.mutex);
+  for (const HedgeTracker::Op& op : tracker.ops) {
+    if (op.parked && !op.landed) {
+      parked->push_back(op);
+    }
+  }
+  if (!parked->empty()) {
+    Metrics().hedge_attempts->Increment();
+  }
+  return statuses;
 }
 
 Status SwiftFile::ReconstructRanges(std::span<const RangeRead> ranges,

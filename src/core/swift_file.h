@@ -167,6 +167,7 @@ class SwiftFile {
       bool started = false;  // transport op issued
       bool done = false;     // completion delivered
       bool parked = false;   // hedged away; reconstruct after the batch
+      bool landed = false;   // parked, but its own reply won the race
     };
     std::mutex mutex;
     std::vector<Op> ops;
@@ -177,9 +178,12 @@ class SwiftFile {
   Status ReadRange(uint64_t offset, std::span<uint8_t> out);
   // Waits for a live read batch with the hedge armed: after a no-progress
   // hedge delay with every outstanding op on at most m - failed straggler
-  // columns, cancels those columns' ops (appending them to `parked`) so
-  // erasure reconstruction can finish the read instead of the stragglers. At
-  // most one hedge per batch; the global governor keeps hedges ≤5% of reads.
+  // columns, cancels those columns' ops (appending the ones whose reply did
+  // not land first to `parked`) so erasure reconstruction can finish the
+  // read instead of the stragglers. A stall of the client itself — a round
+  // that overran its timeout, or a reply waiting unread in the socket — is no
+  // straggler. At most one hedge per batch; the global governor keeps hedges
+  // ≤5% of reads.
   std::vector<Status> WaitHedged(OpBatch& batch, HedgeTracker& tracker,
                                  std::vector<HedgeTracker::Op>* parked);
   // Rebuilds `ranges` in place through the row decoder, writing nothing
