@@ -28,16 +28,17 @@ if [ "${SAN_PRESET}" != "tsan" ]; then
   # transport threads, re-sends follow), the row decoder behind degraded
   # reads, rebuild and scrub (survivor reads complete and fold on pool and
   # transport threads), the distribution agent's op dispatch (ops start
-  # on submitters, completing reactor threads or the pool) and the shared
+  # on submitters, completing reactor threads or the pool), the shared
   # client reactor (the driver role passes between waiters and the reactor
-  # thread) are only meaningfully exercised under ThreadSanitizer; run just
-  # those suites so the default gate stays fast.
+  # thread) and read-ahead (prefetch completions land on other threads while
+  # the file drains them) are only meaningfully exercised under
+  # ThreadSanitizer; run just those suites so the default gate stays fast.
   # Full build: ctest needs every discovered test's include file.
-  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode + op dispatch + client reactor concurrency (tsan) =="
+  echo "== metrics/trace + mediator + integrity + buffer + shard + tail + row decode + op dispatch + client reactor + read-ahead concurrency (tsan) =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --test-dir build-tsan \
-    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode|^AsyncTransport|^OpBatch|^DistributionAgent|^AsyncPipeline|^ClientReactor' \
+    -R '^MetricsTrace|^MediatorService|^IntegrityStore|^FaultyStore|^FaultInjection|^SelfHealing|^Scrub|^FaultKinds|^LossyCorrupt|^Buffer|^UdpBatch|^UdpShard|^Trace|^Congestion|^CcMode|^RttEstimator|^OwdBaseTracker|^DelayController|^DecorrelatedJitter|^TokenBucket|^JainFairness|^TimestampWire|^SessionGrantWire|^Chaos|^Hedge|^Deadline|^Overload|^Erasure|^PartialRowWrite|^Rebuild|^RowDecode|^AsyncTransport|^OpBatch|^DistributionAgent|^AsyncPipeline|^ClientReactor|^ReadAhead' \
     -j "${JOBS}" --output-on-failure
 fi
 
@@ -101,6 +102,28 @@ awk -v t="${DEG_TRIPS}" 'BEGIN { exit !(t <= 1.0) }' \
 printf 'wire_bytes_per_user_byte %.2f (<= 1.05), round_trips_per_read %.2f (<= 1)\n' \
   "${DEG_BYTES}" "${DEG_TRIPS}"
 rm -f "${DEG_JSON}"
+
+# Read-ahead gate: sequential 4-row reads passing over an object on UDP
+# loopback must be served from the prefetch their predecessor left in flight
+# — hit bytes >= 0.95 of the bytes read (only the first read of each 32-read
+# pass misses) — and a forward-only stream discards nothing. Read from the
+# swift_file_readahead_* counters, so the gate reads a counter, not a clock.
+echo "== read-ahead gate (readahead_hit_ratio >= 0.95, readahead_discarded_bytes == 0) =="
+RA_JSON="$(mktemp)"
+./build/bench/micro_benchmarks --benchmark_filter=BM_SequentialRead \
+    --benchmark_min_time=0.2 --benchmark_format=json > "${RA_JSON}"
+RA_HIT="$(grep -o '"readahead_hit_ratio": [0-9.e+-]*' "${RA_JSON}" | head -1 | awk '{print $2}')"
+RA_WASTE="$(grep -o '"readahead_discarded_bytes": [0-9.e+-]*' "${RA_JSON}" | head -1 | awk '{print $2}')"
+RA_OPS="$(grep -o '"transport_ops_per_read": [0-9.e+-]*' "${RA_JSON}" | head -1 | awk '{print $2}')"
+[ -n "${RA_HIT}" ] && [ -n "${RA_WASTE}" ] \
+  || { echo "FAIL: no read-ahead counters in probe output"; cat "${RA_JSON}"; exit 1; }
+awk -v h="${RA_HIT}" 'BEGIN { exit !(h >= 0.95) }' \
+  || { echo "FAIL: readahead_hit_ratio ${RA_HIT} < 0.95 (sequential reads not prefetched)"; exit 1; }
+awk -v d="${RA_WASTE}" 'BEGIN { exit !(d == 0) }' \
+  || { echo "FAIL: readahead_discarded_bytes ${RA_WASTE} > 0 (a forward stream wasted prefetches)"; exit 1; }
+printf 'readahead_hit_ratio %.3f (>= 0.95), readahead_discarded_bytes %.0f (== 0), transport_ops_per_read %.2f\n' \
+  "${RA_HIT}" "${RA_WASTE}" "${RA_OPS}"
+rm -f "${RA_JSON}"
 
 # Client-reactor gate: a lone 4 KiB read on an idle UDP stripe is driven by
 # its waiter — no wake-pipe write and one poll return per read (budgets 0.05
@@ -263,25 +286,32 @@ rm -f "${TAIL_JSON}"
 # reconstruct stay within 3x of the XOR(4,1) baseline in data GB/s; RS(10,4)
 # *encode* does 4x the parity work per data byte (every fold — XOR or GF —
 # runs at the same port-bound rate, so the data-rate ratio sits near m by
-# construction and swings past 3x under load) — it is held by its absolute
-# throughput floor plus a loose sanity ceiling instead. (b) Throughput floors
-# at 0.75x the committed lowest-of-several BENCH_erasure.json point: the GF
-# kernels are memory-port-bound and swing ~±20% on a shared box, while the
-# real failure mode — arch dispatch silently degrading to the scalar
-# fallback — costs 3-8x and lands far below the floor. (c) The healthy
-# striped-read path keeps copies/byte <= 2.5 for every (k, m) geometry.
+# construction and swings past 3x under load) — it is held by a loose sanity
+# ceiling instead. (b) The failure mode that matters — arch dispatch silently
+# degrading to the scalar fallback, which costs 3-9x — is held directly: the
+# dispatched GF fold kernel must be the committed BENCH_erasure.json one, and
+# each GF codec must encode and reconstruct at >= 3x the scalar fold, timed
+# in the same process with the scalar kernel forced between the dispatched
+# passes (avx2 measures 8-9x). Absolute GB/s floors are not gated: the
+# kernels are memory-port-bound and swing past any fixed floor on a shared
+# host. (c) The healthy striped-read path keeps copies/byte <= 2.5 for every
+# (k, m) geometry.
 echo "== erasure-coding gate (BENCH_erasure.json) =="
 ERASURE_JSON="$(mktemp)"
 ./build/tools/swift_bench --erasure --json="${ERASURE_JSON}" > /dev/null 2>&1
-for KEY in xor41_encode_gbps xor41_reconstruct_gbps rs42_encode_gbps \
-           rs42_reconstruct_gbps rs104_encode_gbps rs104_reconstruct_gbps; do
-  WAS="$(bench_key BENCH_erasure.json "${KEY}")"
-  NOW="$(bench_key "${ERASURE_JSON}" "${KEY}")"
-  [ -n "${WAS}" ] && [ -n "${NOW}" ] \
-    || { echo "FAIL: ${KEY} missing from erasure point"; exit 1; }
-  awk -v was="${WAS}" -v now="${NOW}" 'BEGIN { exit !(now >= was * 0.75) }' \
-    || { echo "FAIL: ${KEY} regressed ${WAS} -> ${NOW} (>25%)"; exit 1; }
-  echo "${KEY}: ${WAS} -> ${NOW}"
+json_kernel() { grep -o '"kernel": "[a-z0-9]*"' "$1" | head -1 | cut -d'"' -f4; }
+KERNEL_WAS="$(json_kernel BENCH_erasure.json)"
+KERNEL_NOW="$(json_kernel "${ERASURE_JSON}")"
+[ -n "${KERNEL_NOW}" ] && [ "${KERNEL_NOW}" = "${KERNEL_WAS}" ] \
+  || { echo "FAIL: GF fold kernel '${KERNEL_NOW}', committed '${KERNEL_WAS}' (dispatch fell back?)"; exit 1; }
+echo "GF fold kernel ${KERNEL_NOW} (committed ${KERNEL_WAS})"
+for KEY in rs42_encode_vs_scalar rs42_reconstruct_vs_scalar rs104_encode_vs_scalar \
+           rs104_reconstruct_vs_scalar; do
+  SPEEDUP="$(bench_key "${ERASURE_JSON}" "${KEY}")"
+  [ -n "${SPEEDUP}" ] || { echo "FAIL: no ${KEY} in --erasure output"; exit 1; }
+  awk -v r="${SPEEDUP}" 'BEGIN { exit !(r >= 3.0) }' \
+    || { echo "FAIL: ${KEY} ${SPEEDUP} < 3x (GF folds at scalar speed)"; exit 1; }
+  echo "${KEY} ${SPEEDUP} (>= 3)"
 done
 for KEY in rs42_encode_vs_xor rs42_reconstruct_vs_xor rs104_reconstruct_vs_xor; do
   RATIO="$(bench_key "${ERASURE_JSON}" "${KEY}")"
@@ -293,7 +323,7 @@ done
 RS104_ENC="$(bench_key "${ERASURE_JSON}" rs104_encode_vs_xor)"
 awk -v r="${RS104_ENC}" 'BEGIN { exit !(r <= 4.5) }' \
   || { echo "FAIL: rs104_encode_vs_xor ${RS104_ENC} > 4.5x sanity ceiling"; exit 1; }
-echo "rs104_encode_vs_xor ${RS104_ENC} (<= 4.5; floor-gated above)"
+echo "rs104_encode_vs_xor ${RS104_ENC} (<= 4.5)"
 for KEY in xor41_read_copies_per_byte rs42_read_copies_per_byte rs104_read_copies_per_byte; do
   COPIES="$(bench_key "${ERASURE_JSON}" "${KEY}")"
   [ -n "${COPIES}" ] || { echo "FAIL: no ${KEY} in --erasure output"; exit 1; }

@@ -90,7 +90,10 @@ class UdpTransport : public AgentTransport {
  public:
   struct Options {
     // Packet requests outstanding per read op (1 = the paper's stop-and-wait).
-    uint32_t read_window = 4;
+    // 8 requests a 64 KiB stripe unit whole when the op starts, so the
+    // datagrams an op sends are fixed when it starts, not by its progress —
+    // as for a prefetch still in flight after its read returned.
+    uint32_t read_window = 8;
     // Async ops outstanding per transport (advertised via max_in_flight()).
     uint32_t max_in_flight_ops = 8;
     // First retry timeout; doubles per retry up to max_timeout_ms.

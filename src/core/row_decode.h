@@ -21,8 +21,10 @@
 //     kDataLoss;
 //   * it only produces bytes: each caller owns its write-back.
 // A decoder allocates nothing and starts no thread until it decodes. Jobs
-// over one decoder must not run concurrently (the plan cache is unguarded);
-// survivor completions may land on any thread.
+// over one decoder may be alive at once (a read-ahead job rides into the
+// next read), but their Start and Finish calls must not run concurrently
+// (the plan cache is unguarded); survivor completions may land on any
+// thread.
 
 #ifndef SWIFT_SRC_CORE_ROW_DECODE_H_
 #define SWIFT_SRC_CORE_ROW_DECODE_H_

@@ -28,6 +28,8 @@ struct FileMetrics {
   Counter* hedge_wins;
   Counter* hedge_suppressed;
   Counter* multi_failure_repairs;
+  Counter* readahead_bytes;
+  Counter* readahead_discarded_bytes;
 };
 
 const FileMetrics& Metrics() {
@@ -43,6 +45,8 @@ const FileMetrics& Metrics() {
         registry.GetCounter("swift_hedge_wins_total"),
         registry.GetCounter("swift_hedge_suppressed_total"),
         registry.GetCounter("swift_erasure_multi_failure_repairs_total"),
+        registry.GetCounter("swift_file_readahead_bytes_total"),
+        registry.GetCounter("swift_file_readahead_discarded_bytes_total"),
     };
   }();
   return metrics;
@@ -142,19 +146,22 @@ class ParityTimer {
 // destruction folds in the thread's parity time and root stages (batch
 // wake-ups) and submits the span. A
 // no-op when an outer trace context already covers this call (nested ops,
-// scrub-triggered repairs) or tracing is off.
+// scrub-triggered repairs) or tracing is off. A read served by a prefetch
+// `adopt`s the root the prefetch's ops were started under (their parent), so
+// its trace holds the ops it consumed.
 class RootSpanScope {
  public:
-  RootSpanScope(const char* label, std::atomic<uint64_t>& last_trace_id) {
+  RootSpanScope(const char* label, std::atomic<uint64_t>& last_trace_id,
+                const TraceContext* adopt = nullptr) {
     if (CurrentTraceContext().present()) {
       return;  // part of an enclosing traced operation
     }
-    TraceContext context = NewRootContext();
+    TraceContext context = adopt != nullptr ? *adopt : NewRootContext();
     if (!context.present()) {
       return;
     }
     span_.trace_id = context.trace_id;
-    span_.span_id = NextSpanId();
+    span_.span_id = adopt != nullptr ? adopt->parent_span_id : NextSpanId();
     span_.parent_span_id = 0;
     span_.node = TraceNodeId();
     span_.sampled = context.sampled();
@@ -185,6 +192,9 @@ class RootSpanScope {
   }
   RootSpanScope(const RootSpanScope&) = delete;
   RootSpanScope& operator=(const RootSpanScope&) = delete;
+
+  // Whether this call opened a root span (tracing on, not nested).
+  bool open() const { return scope_.has_value(); }
 
  private:
   Span span_;
@@ -303,6 +313,7 @@ Status SwiftFile::Close() {
     return OkStatus();
   }
   closed_ = true;
+  DropPrefetch();
   Status first_error = OkStatus();
   if (directory_ != nullptr) {
     Status status = directory_->UpdateSize(name_, size_);
@@ -330,6 +341,7 @@ Status SwiftFile::Truncate(uint64_t new_size) {
   if (closed_) {
     return InvalidArgumentError("file is closed");
   }
+  DropPrefetch();
   if (failed_count_.load() > 0) {
     return UnavailableError("truncate is not supported while agents are failed");
   }
@@ -411,12 +423,31 @@ Result<uint64_t> SwiftFile::PRead(uint64_t offset, std::span<uint8_t> out) {
     return static_cast<uint64_t>(0);
   }
   const uint64_t length = std::min<uint64_t>(out.size(), size_ - offset);
-  RootSpanScope trace_root("pread", last_trace_id_);
+  const bool takes_prefetch =
+      prefetch_ != nullptr && prefetch_->parts.front().offset == offset;
+  RootSpanScope trace_root("pread", last_trace_id_,
+                           takes_prefetch && prefetch_->trace.present() ? &prefetch_->trace
+                                                                        : nullptr);
   // A read that starts with failed columns exercises the reconstruction
   // path; bucket it separately so degraded-mode latency is visible.
   const bool degraded = failed_count_.load() > 0;
   const auto start = std::chrono::steady_clock::now();
-  SWIFT_RETURN_IF_ERROR(ReadRange(offset, out.subspan(0, length)));
+  const std::span<uint8_t> range = out.subspan(0, length);
+  const std::optional<std::span<const uint8_t>> ahead = ReadThroughPrefetch(offset, range);
+  if (!ahead.has_value()) {
+    SWIFT_RETURN_IF_ERROR(ReadRange(offset, range));
+  }
+  // The next prefetch goes out before the copy below, which it overlaps: it
+  // lands in the other half of the buffer.
+  MaybeReadAhead(offset, length, trace_root.open());
+  if (ahead.has_value()) {
+    const uint64_t copy_ns = FlightRecorder::NowNs();
+    std::memcpy(range.data(), ahead->data(), ahead->size());
+    CountBufferCopy(ahead->size());
+    if (CurrentTraceContext().present()) {
+      NoteRootStage(SpanStage::kReadAhead, copy_ns, FlightRecorder::NowNs());
+    }
+  }
   const double us = ElapsedUs(start);
   Metrics().read_us->Record(us);
   if (degraded) {
@@ -432,6 +463,7 @@ Result<uint64_t> SwiftFile::PWrite(uint64_t offset, std::span<const uint8_t> dat
   if (data.empty()) {
     return static_cast<uint64_t>(0);
   }
+  DropPrefetch();
   RootSpanScope trace_root("pwrite", last_trace_id_);
   const auto start = std::chrono::steady_clock::now();
   SWIFT_RETURN_IF_ERROR(WriteRange(offset, data));
@@ -615,9 +647,22 @@ void SwiftFile::SubmitExtentWrite(OpBatch& batch, const AgentExtent& extent, uin
 
 // ---------------------------------------------------------------- reading --
 
+SwiftFile::ReadJob::ReadJob(SwiftFile& file)
+    : failed(file.failed_columns()),
+      parity_on(file.layout_.config().parity != ParityMode::kNone),
+      batch(&file.distribution_) {
+  // Hedging needs spare parity budget: reconstruction of a cancelled
+  // straggler is only safe while failed columns + cancelled columns stay
+  // within the codec's m erasures.
+  hedging = file.distribution_.options().hedged_reads && parity_on &&
+            failed.size() < file.ParityBudget() && file.layout_.config().num_agents > 1;
+  if (hedging) {
+    hedge = std::make_shared<HedgeTracker>();
+  }
+}
+
 Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
   const bool parity_on = layout_.config().parity != ParityMode::kNone;
-  const uint64_t unit = layout_.config().stripe_unit;
   // A failure discovered mid-read flips a column to failed and we retry;
   // each retry consumes at least one new failure, so attempts are bounded.
   for (uint32_t attempt = 0; attempt <= layout_.config().num_agents; ++attempt) {
@@ -627,128 +672,255 @@ Status SwiftFile::ReadRange(uint64_t offset, std::span<uint8_t> out) {
     if (!parity_on && failed_count_.load() > 0) {
       return UnavailableError("storage agent failed and object has no redundancy");
     }
-    const std::vector<AgentExtent> extents = layout_.MapRange(offset, out.size());
-
-    // Hedging needs spare parity budget: reconstruction of a cancelled
-    // straggler is only safe while failed columns + cancelled columns stay
-    // within the codec's m erasures.
-    const bool hedging = distribution_.options().hedged_reads && parity_on &&
-                         failed_count_.load() < ParityBudget() &&
-                         layout_.config().num_agents > 1;
-
-    // Extents on failed columns are decoded in the live batch itself: the
-    // decode job holds the live data units this batch lands in `out` and
-    // submits only the survivors the read does not fetch, usually the rows'
-    // live parity units. A healthy read builds none of this.
-    const std::vector<uint32_t> failed = failed_columns();
-    auto is_failed = [&failed](uint32_t column) {
-      return std::ranges::find(failed, column) != failed.end();
-    };
-    std::vector<UnitRange> lost;
-    std::vector<UnitRange> held;
-    if (!failed.empty()) {
-      for (const AgentExtent& extent : extents) {
-        AppendUnitRanges(unit, extent.agent, extent.agent_offset, extent.length,
-                         out.data() + (extent.logical_offset - offset),
-                         is_failed(extent.agent) ? lost : held);
-      }
+    ReadJob job(*this);
+    bool replan = false;
+    Status status = StartRead(job, offset, out);
+    if (status.ok()) {
+      status = FinishRead(job, replan);
     }
-    std::optional<RowDecoder::Job> decode;
-    if (!lost.empty()) {
-      decode.emplace(decoder_, lost, failed, held);
+    if (!replan) {
+      return status;
     }
-
-    // Live extents: one batch of stripe-unit ops across the whole range, so
-    // every column pipelines up to its window. With parity on, checksum
-    // failures park in `corrupt` instead of failing the batch; without
-    // parity there is nothing to rebuild from, so they surface as errors.
-    CorruptSink corrupt;
-    // Shared, not stack-owned: submit-path lambdas store cancel tokens after
-    // starting the transport op, which can lose a race with the batch waiter
-    // leaving this frame (see the HedgeTracker comment in the header).
-    auto hedge_tracker = hedging ? std::make_shared<HedgeTracker>() : nullptr;
-    std::vector<HedgeTracker::Op> hedged;
-    {
-      OpBatch batch(&distribution_);
-      if (decode.has_value()) {
-        SWIFT_RETURN_IF_ERROR(decode->Start(batch));
-      }
-      for (const AgentExtent& extent : extents) {
-        if (!is_failed(extent.agent)) {
-          SubmitExtentRead(batch, extent, offset, out, parity_on ? &corrupt : nullptr,
-                           hedge_tracker);
-        }
-      }
-      Status status = Aggregate(hedging ? WaitHedged(batch, *hedge_tracker, &hedged)
-                                        : batch.Wait());
-      if (status.code() == StatusCode::kUnavailable) {
-        continue;  // re-plan with the updated failure set
-      }
-      SWIFT_RETURN_IF_ERROR(status);
-    }
-
-    // Finish a hedge: the stragglers' cancelled ranges come from erasure
-    // reconstruction, which must avoid reading *any* hedged column (their
-    // ops were cancelled). If reconstruction loses its bet (a survivor died
-    // mid-hedge), the straggler columns themselves are still healthy —
-    // re-read the ranges from them directly, so correctness never depends on
-    // the hedge. Either way the ranges hold good bytes afterwards, so the
-    // decode job below may fold them as held survivors.
-    if (!hedged.empty()) {
-      std::vector<uint32_t> avoid;  // may repeat a column; the decoder dedupes
-      std::vector<RangeRead> ranges;
-      for (const HedgeTracker::Op& op : hedged) {
-        avoid.push_back(op.column);
-        ranges.push_back({op.column, op.agent_offset, op.length, op.dst});
-      }
-      const Status rebuilt = ReconstructRanges(ranges, avoid);
-      bool straggler_died = false;
-      for (uint32_t column : avoid) {
-        straggler_died = straggler_died || ColumnFailed(column);
-      }
-      if (rebuilt.ok()) {
-        Metrics().hedge_wins->Increment();
-      } else if (!straggler_died) {
-        OpBatch retry(&distribution_);
-        for (const HedgeTracker::Op& op : hedged) {
-          SubmitRead(retry, op.column, op.agent_offset, op.length, op.dst,
-                     parity_on ? &corrupt : nullptr);
-        }
-        Status status = Aggregate(retry.Wait());
-        if (status.code() == StatusCode::kUnavailable) {
-          continue;  // a straggler died for real; re-plan degraded
-        }
-        SWIFT_RETURN_IF_ERROR(status);
-      } else {
-        // A cancelled column really died: the budget check at the top of the
-        // retry loop decides whether the remaining parity covers it.
-        continue;
-      }
-    }
-
-    // Finish the decode. A held unit that came back corrupt is no survivor:
-    // its row re-plans with that column erased.
-    if (decode.has_value()) {
-      ParityTimer parity_timer;
-      std::vector<UnitRef> unusable;
-      for (const RangeRead& op : corrupt.ops) {
-        for (uint64_t row = op.agent_offset / unit; row * unit < op.agent_offset + op.length;
-             ++row) {
-          unusable.push_back({row, op.column});
-        }
-      }
-      SWIFT_RETURN_IF_ERROR(
-          RecordDecode(decode->Finish(unusable), decode->report(), lost.size()));
-    }
-
-    // Heal checksum casualties: reconstruct each corrupt unit from its row's
-    // survivors, hand the verified bytes to the caller, write the unit back.
-    for (const RangeRead& op : corrupt.ops) {
-      SWIFT_RETURN_IF_ERROR(RepairReadOp(op));
-    }
-    return OkStatus();
   }
   return InternalError("read retry budget exhausted");
+}
+
+Status SwiftFile::StartRead(ReadJob& job, uint64_t offset, std::span<uint8_t> out) {
+  const uint64_t unit = layout_.config().stripe_unit;
+  const std::vector<AgentExtent> extents = layout_.MapRange(offset, out.size());
+  auto is_failed = [&job](uint32_t column) {
+    return std::ranges::find(job.failed, column) != job.failed.end();
+  };
+  ReadJob::Part& part = job.parts.emplace_back();
+  part.offset = offset;
+  part.out = out;
+
+  // Extents on failed columns are decoded in the live batch itself: the
+  // decode job holds the live data units this batch lands in `out` and
+  // submits only the survivors the read does not fetch, usually the rows'
+  // live parity units. A healthy read builds none of this.
+  std::vector<UnitRange> lost;
+  std::vector<UnitRange> held;
+  if (!job.failed.empty()) {
+    for (const AgentExtent& extent : extents) {
+      AppendUnitRanges(unit, extent.agent, extent.agent_offset, extent.length,
+                       out.data() + (extent.logical_offset - offset),
+                       is_failed(extent.agent) ? lost : held);
+    }
+  }
+  if (!lost.empty()) {
+    part.lost = lost.size();
+    part.decode.emplace(decoder_, lost, job.failed, held);
+    SWIFT_RETURN_IF_ERROR(part.decode->Start(job.batch));
+  }
+
+  // Live extents: stripe-unit ops across the whole range, so every column
+  // pipelines up to its window. With parity on, checksum failures park in
+  // the job's sink instead of failing the batch; without parity there is
+  // nothing to rebuild from, so they surface as errors.
+  for (const AgentExtent& extent : extents) {
+    if (!is_failed(extent.agent)) {
+      SubmitExtentRead(job.batch, extent, offset, out, job.parity_on ? &job.corrupt : nullptr,
+                       job.hedge);
+    }
+  }
+  return OkStatus();
+}
+
+Status SwiftFile::FinishRead(ReadJob& job, bool& replan) {
+  const uint64_t unit = layout_.config().stripe_unit;
+  std::vector<HedgeTracker::Op> hedged;
+  const Status status =
+      Aggregate(job.hedging ? WaitHedged(job.batch, *job.hedge, &hedged) : job.batch.Wait());
+  if (status.code() == StatusCode::kUnavailable) {
+    replan = true;  // re-plan with the updated failure set
+    return OkStatus();
+  }
+  SWIFT_RETURN_IF_ERROR(status);
+
+  // Finish a hedge: the stragglers' cancelled ranges come from erasure
+  // reconstruction, which must avoid reading *any* hedged column (their
+  // ops were cancelled). If reconstruction loses its bet (a survivor died
+  // mid-hedge), the straggler columns themselves are still healthy —
+  // re-read the ranges from them directly, so correctness never depends on
+  // the hedge. Either way the ranges hold good bytes afterwards, so the
+  // decode jobs below may fold them as held survivors.
+  if (!hedged.empty()) {
+    std::vector<uint32_t> avoid;  // may repeat a column; the decoder dedupes
+    std::vector<RangeRead> ranges;
+    for (const HedgeTracker::Op& op : hedged) {
+      avoid.push_back(op.column);
+      ranges.push_back({op.column, op.agent_offset, op.length, op.dst});
+    }
+    const Status rebuilt = ReconstructRanges(ranges, avoid);
+    bool straggler_died = false;
+    for (uint32_t column : avoid) {
+      straggler_died = straggler_died || ColumnFailed(column);
+    }
+    if (rebuilt.ok()) {
+      Metrics().hedge_wins->Increment();
+    } else if (!straggler_died) {
+      OpBatch retry(&distribution_);
+      for (const HedgeTracker::Op& op : hedged) {
+        SubmitRead(retry, op.column, op.agent_offset, op.length, op.dst,
+                   job.parity_on ? &job.corrupt : nullptr);
+      }
+      const Status retried = Aggregate(retry.Wait());
+      if (retried.code() == StatusCode::kUnavailable) {
+        replan = true;  // a straggler died for real; re-plan degraded
+        return OkStatus();
+      }
+      SWIFT_RETURN_IF_ERROR(retried);
+    } else {
+      // A cancelled column really died: the budget check at the top of the
+      // retry loop decides whether the remaining parity covers it.
+      replan = true;
+      return OkStatus();
+    }
+  }
+
+  // Finish the decodes. A held unit that came back corrupt is no survivor:
+  // its row re-plans with that column erased.
+  std::vector<UnitRef> unusable;
+  for (const RangeRead& op : job.corrupt.ops) {
+    for (uint64_t row = op.agent_offset / unit; row * unit < op.agent_offset + op.length; ++row) {
+      unusable.push_back({row, op.column});
+    }
+  }
+  for (ReadJob::Part& part : job.parts) {
+    if (part.decode.has_value()) {
+      ParityTimer parity_timer;
+      SWIFT_RETURN_IF_ERROR(
+          RecordDecode(part.decode->Finish(unusable), part.decode->report(), part.lost));
+    }
+  }
+
+  // Heal checksum casualties: reconstruct each corrupt unit from its row's
+  // survivors, hand the verified bytes to the caller, write the unit back.
+  for (const RangeRead& op : job.corrupt.ops) {
+    SWIFT_RETURN_IF_ERROR(RepairReadOp(op));
+  }
+  return OkStatus();
+}
+
+std::optional<std::span<const uint8_t>> SwiftFile::ReadThroughPrefetch(uint64_t offset,
+                                                                      std::span<uint8_t> out) {
+  if (prefetch_ == nullptr) {
+    return std::nullopt;
+  }
+  const std::span<uint8_t> ahead = prefetch_->parts.front().out;
+  if (prefetch_->parts.front().offset != offset || prefetch_->failed != failed_columns()) {
+    DropPrefetch();
+    return std::nullopt;
+  }
+  const uint64_t wait_ns = FlightRecorder::NowNs();
+  const std::unique_ptr<ReadJob> job = std::move(prefetch_);
+  const uint64_t covered = std::min<uint64_t>(ahead.size(), out.size());
+  Status status = OkStatus();
+  if (covered < out.size()) {
+    // What the prefetch left out rides its batch, so one wait covers both.
+    status = StartRead(*job, offset + covered, out.subspan(covered));
+  }
+  bool replan = false;
+  if (status.ok()) {
+    status = FinishRead(*job, replan);
+  }
+  const bool served = status.ok() && !replan;
+  // Any error drops the whole job: the caller reads the range again through
+  // the retry loop, so failures are handled in one place.
+  Metrics().readahead_discarded_bytes->Increment(ahead.size() - (served ? covered : 0));
+  if (CurrentTraceContext().present()) {
+    // The prefetch's ops started before this call did; its wait on them is
+    // read-ahead time.
+    NoteRootStage(SpanStage::kReadAhead, wait_ns, FlightRecorder::NowNs());
+  }
+  if (!served) {
+    return std::nullopt;
+  }
+  Metrics().readahead_bytes->Increment(covered);
+  return ahead.first(covered);
+}
+
+void SwiftFile::MaybeReadAhead(uint64_t offset, uint64_t length, bool traced) {
+  // Sequential: the read starts where the last one ended, or at 0 once the
+  // last one reached the end (a new pass). A file's first read, or one
+  // repeated at offset 0, is no stream yet: it may be a one-off header read.
+  const bool sequential =
+      read_end_ != 0 && offset == (read_end_ >= size_ ? 0 : read_end_);
+  read_end_ = offset + length;
+  if (!sequential || length < layout_.config().RowDataBytes()) {
+    return;
+  }
+  if (readahead_buffer_.size() == 0) {
+    // Allocated once, two halves, each for the most rows a prefetch can fit:
+    // each row costs every live column at most one op, and at least k ops
+    // in all. A prefetch lands in one half while the last one is copied out
+    // of the other.
+    const StripeConfig& config = layout_.config();
+    uint32_t window = 1;
+    for (uint32_t c = 0; c < config.num_agents; ++c) {
+      window = std::max(window, std::min(distribution_.options().ops_in_flight,
+                                         distribution_.transport(c)->max_in_flight()));
+    }
+    const uint64_t rows = uint64_t{config.num_agents} * window / config.DataAgentsPerRow();
+    readahead_buffer_ = Buffer::Allocate(2 * rows * config.RowDataBytes());
+  }
+  const uint64_t half = readahead_buffer_.size() / 2;
+  // The call's own ops have drained, so every column's window is free: the
+  // prefetch's ops all reach their transports before this call returns.
+  const uint64_t bytes = std::min(ReadAheadBytes(read_end_, length), half);
+  if (bytes == 0) {
+    return;
+  }
+  readahead_half_ ^= 1;
+  auto job = std::make_unique<ReadJob>(*this);
+  std::optional<ScopedTraceContext> scope;
+  if (traced) {
+    // The ops are started under the root of the read that will take them.
+    job->trace = NewRootContext();
+    if (job->trace.present()) {
+      job->trace.parent_span_id = NextSpanId();
+      scope.emplace(job->trace);
+    }
+  }
+  const std::span<uint8_t> into = readahead_buffer_.span().subspan(readahead_half_ * half, bytes);
+  if (!StartRead(*job, read_end_, into).ok()) {
+    return;  // nothing was submitted: a decode fails before it submits
+  }
+  // Nobody waits on this batch before the next call: hand a held op to its
+  // transport's own thread now.
+  PollScope::ReleaseHeld();
+  prefetch_ = std::move(job);
+}
+
+uint64_t SwiftFile::ReadAheadBytes(uint64_t offset, uint64_t length) const {
+  const StripeConfig& config = layout_.config();
+  const uint64_t row_bytes = config.RowDataBytes();
+  const uint64_t end = std::min(offset + length, size_);
+  const bool degraded = failed_count_.load() > 0;
+  std::vector<uint32_t> ops(config.num_agents, 0);
+  uint64_t fits = offset;
+  while (fits < end) {
+    const uint64_t row = fits / row_bytes;
+    for (uint32_t c = 0; c < config.num_agents; ++c) {
+      if (ColumnFailed(c) || (!degraded && layout_.IsParityAgent(row, c))) {
+        continue;
+      }
+      if (++ops[c] > distribution_.window(c)) {
+        return fits - offset;
+      }
+    }
+    fits = std::min((row + 1) * row_bytes, end);
+  }
+  return fits - offset;
+}
+
+void SwiftFile::DropPrefetch() {
+  if (prefetch_ == nullptr) {
+    return;
+  }
+  Metrics().readahead_discarded_bytes->Increment(prefetch_->parts.front().out.size());
+  prefetch_.reset();  // its batch drains before the job goes
 }
 
 uint64_t SwiftFile::HedgeDelayUs() const {

@@ -41,6 +41,21 @@
 // kDataCorrupt surfaces to the caller — corrupt bytes are never returned as
 // data.
 //
+// Sequential read-ahead: a read of at least one full data row that starts
+// where the previous read ended (or at 0 once the previous one reached the
+// end: a new pass) leaves the next rows in flight when it returns: as many as
+// the read itself covered, capped so every column's share fits its op
+// window. They land in one file-owned buffer. A read that starts where the
+// prefetch starts submits whatever the prefetch does not cover into the
+// prefetch's own batch, waits once, starts the next prefetch into the
+// buffer's other half, and copies the prefetched bytes out (one counted
+// copy). A prefetch is one more read job of the one read path, started in
+// one call and finished in the next; any error drops it and the call reads
+// through the normal retry loop. A write, a truncate, a close, a read
+// elsewhere, or a change of the failed-column set drains and discards it.
+// Sub-row and non-sequential reads, a file's first read and reads repeated
+// at offset 0 never prefetch.
+//
 // Concurrency: the public interface is externally synchronized (one logical
 // client), but op completions arrive on transport/pool threads, so the
 // failure flags they touch are atomics.
@@ -50,8 +65,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,7 +79,9 @@
 #include "src/core/row_decode.h"
 #include "src/core/stripe_layout.h"
 #include "src/core/transfer_plan.h"
+#include "src/util/buffer.h"
 #include "src/util/status.h"
+#include "src/util/trace.h"
 
 namespace swift {
 
@@ -173,9 +192,67 @@ class SwiftFile {
     std::vector<Op> ops;
   };
 
+  // One read in flight: a batch of stripe-unit ops over one or more ranges,
+  // with the decode jobs, corrupt sink and hedge tracker that ride it. A
+  // synchronous read starts and finishes a job in one call; a prefetch is
+  // started in one call and finished in the next.
+  struct ReadJob {
+    explicit ReadJob(SwiftFile& file);
+    ReadJob(const ReadJob&) = delete;
+    ReadJob& operator=(const ReadJob&) = delete;
+
+    // One range of the job, and the decode of its units on failed columns.
+    struct Part {
+      uint64_t offset = 0;
+      std::span<uint8_t> out;
+      size_t lost = 0;  // units the decode rebuilds
+      std::optional<RowDecoder::Job> decode;
+    };
+    std::vector<uint32_t> failed;  // the failed columns it was planned around
+    // A prefetch's ops run under this context: the root span id of the read
+    // that takes them (parent_span_id). Empty when untraced.
+    TraceContext trace;
+    bool parity_on = false;
+    bool hedging = false;
+    std::deque<Part> parts;  // a deque: a Part holds a decode job in place
+    CorruptSink corrupt;
+    // Shared, not owned: submit-path lambdas store cancel tokens after
+    // starting the transport op, which can lose a race with the batch waiter
+    // leaving (see the HedgeTracker comment).
+    std::shared_ptr<HedgeTracker> hedge;
+    OpBatch batch;  // last: drains before the parts and the sink go
+  };
+
   // Failure-aware read of [offset, offset+length) into out (zero-filled past
-  // stored data). `length` must fit in out.
+  // stored data). `length` must fit in out. Each attempt is one job, started
+  // and finished.
   Status ReadRange(uint64_t offset, std::span<uint8_t> out);
+  // Adds [offset, +out.size()) to `job`: its live extents as stripe-unit ops
+  // and, for extents on failed columns, a decode job in the same batch.
+  Status StartRead(ReadJob& job, uint64_t offset, std::span<uint8_t> out);
+  // Waits for `job`'s batch and finishes it: hedged ranges, decodes, then
+  // read-repair of corrupt units. Sets `replan` (and returns OK) when a
+  // column failed under the job and the read should be planned again.
+  Status FinishRead(ReadJob& job, bool& replan);
+
+  // Serves [offset, +out.size()) through the outstanding prefetch when it
+  // starts at `offset`: the rest of the range rides the prefetch's batch and
+  // one wait covers both. Returns the prefetched bytes for the head of
+  // `out`, for the caller to copy; nullopt when `out` was not served. Any
+  // prefetch is gone either way.
+  std::optional<std::span<const uint8_t>> ReadThroughPrefetch(uint64_t offset,
+                                                              std::span<uint8_t> out);
+  // After a read of [offset, +length): when it is sequential and at least
+  // one row long, starts the prefetch of the next bytes — under a fresh root
+  // context when the read is `traced`, for the read that takes it to adopt.
+  void MaybeReadAhead(uint64_t offset, uint64_t length, bool traced);
+  // Bytes from `offset` (at most `length`, and within the object) whose rows
+  // fit every column's op window: each row costs a column one op when the
+  // column holds one of its data units, or any live unit in a degraded row.
+  uint64_t ReadAheadBytes(uint64_t offset, uint64_t length) const;
+  // Drains the outstanding prefetch, if any, and counts its bytes as
+  // discarded.
+  void DropPrefetch();
   // Waits for a live read batch with the hedge armed: after a no-progress
   // hedge delay with every outstanding op on at most m - failed straggler
   // columns, cancels those columns' ops (appending the ones whose reply did
@@ -275,6 +352,15 @@ class SwiftFile {
   uint64_t size_ = 0;
   uint64_t cursor_ = 0;
   bool closed_ = false;
+  // Read-ahead: where the last read ended, the file-owned prefetch buffer
+  // (allocated on first use; prefetches alternate between its two halves),
+  // and the prefetch job in flight, if any — its one part lands in the
+  // buffer. The job is declared after distribution_ and decoder_, so it
+  // drains before they go.
+  uint64_t read_end_ = 0;
+  Buffer readahead_buffer_;
+  uint32_t readahead_half_ = 0;
+  std::unique_ptr<ReadJob> prefetch_;
 };
 
 }  // namespace swift

@@ -185,7 +185,7 @@ Result<TraceTimeline> BuildTraceTimeline(const std::vector<Span>& all, uint64_t 
       where += "/shard" + std::to_string(span.shard - 1);
     }
     const double rel_s = static_cast<double>(entry.start() - root_start) / 1e9;
-    std::snprintf(line, sizeof(line), "%*s+%.6fs  [%-14s] %-12s", 2 + depth * 2, "", rel_s,
+    std::snprintf(line, sizeof(line), "%*s%+.6fs  [%-14s] %-12s", 2 + depth * 2, "", rel_s,
                   where.c_str(), SpanOpName(span).c_str());
     text += line;
     if (span.request_id != 0) {

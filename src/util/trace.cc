@@ -290,6 +290,8 @@ const char* SpanStageName(SpanStage stage) {
       return "retransmit";
     case SpanStage::kCcGate:
       return "cc_gate";
+    case SpanStage::kReadAhead:
+      return "read_ahead";
   }
   return "unknown";
 }
@@ -302,14 +304,14 @@ HistogramMetric* StageHistogram(SpanStage stage) {
   static std::once_flag once;
   std::call_once(once, [] {
     auto& registry = MetricRegistry::Global();
-    for (uint8_t s = 1; s <= static_cast<uint8_t>(SpanStage::kCcGate); ++s) {
+    for (uint8_t s = 1; s <= static_cast<uint8_t>(SpanStage::kReadAhead); ++s) {
       const std::string name =
           std::string("swift_trace_stage_") + SpanStageName(static_cast<SpanStage>(s)) + "_us";
       histograms[s] = registry.GetHistogram(name);
     }
   });
   const uint8_t index = static_cast<uint8_t>(stage);
-  return index <= static_cast<uint8_t>(SpanStage::kCcGate) ? histograms[index] : nullptr;
+  return index <= static_cast<uint8_t>(SpanStage::kReadAhead) ? histograms[index] : nullptr;
 }
 
 }  // namespace

@@ -201,6 +201,8 @@ enum class SpanStage : uint8_t {
   kRetransmit = 9,   // one retransmitted datagram (arg = timeout round)
   kCcGate = 10,      // congestion gate: send pacing / window admission delay
                      // (arg = paced bytes)
+  kReadAhead = 11,   // a read waiting on, and copying out, ops a previous
+                     // read started (sequential read-ahead)
 };
 
 const char* SpanStageName(SpanStage stage);

@@ -1157,6 +1157,11 @@ struct ErasureCell {
 
   double encode_gbps = 0;
   double reconstruct_gbps = 0;
+  // The same passes with the scalar fold forced (SetGfSimdEnabled(false)),
+  // interleaved with the dispatched ones: the GF codecs' speed-up over them
+  // is what the dispatch is worth, measured on one host at one moment.
+  double scalar_encode_gbps = 0;
+  double scalar_reconstruct_gbps = 0;
   double read_copies_per_byte = 0;      // healthy striped reads (the gate)
   double degraded_p50_us = 0;
   double degraded_p99_us = 0;
@@ -1232,15 +1237,18 @@ bool InitErasureCodecState(ErasureCodecState& state, ErasureCell& cell) {
   return true;
 }
 
-void RunErasureCodecPass(ErasureCodecState& state) {
+// One timed encode and reconstruct pass with whichever fold kernel is
+// current; keeps the best GB/s in `encode_gbps` / `reconstruct_gbps`.
+void RunErasureCodecPass(ErasureCodecState& state, double& encode_gbps,
+                         double& reconstruct_gbps) {
   const auto e0 = std::chrono::steady_clock::now();
   for (int rep = 0; rep < kErasureReps; ++rep) {
     state.codec->EncodeInto(state.data_spans, state.parity_spans);
   }
   const double encode_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - e0).count();
-  state.cell->encode_gbps = std::max(
-      state.cell->encode_gbps,
+  encode_gbps = std::max(
+      encode_gbps,
       static_cast<double>(kErasureReps) * state.cell->k * kErasureUnit / encode_s / 1e9);
 
   const auto r0 = std::chrono::steady_clock::now();
@@ -1249,10 +1257,9 @@ void RunErasureCodecPass(ErasureCodecState& state) {
   }
   const double reconstruct_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - r0).count();
-  state.cell->reconstruct_gbps =
-      std::max(state.cell->reconstruct_gbps,
-               static_cast<double>(kErasureReps) * state.cell->m * kErasureUnit /
-                   reconstruct_s / 1e9);
+  reconstruct_gbps = std::max(reconstruct_gbps, static_cast<double>(kErasureReps) *
+                                                    state.cell->m * kErasureUnit /
+                                                    reconstruct_s / 1e9);
 }
 
 bool VerifyErasureCodecState(const ErasureCodecState& state) {
@@ -1361,13 +1368,16 @@ int RunErasure(const char* json_path) {
       return 1;
     }
   }
-  RunErasureCodecPass(states[0]);  // warmup (page faults, turbo), discarded
-  for (auto& state : states) {
-    state.cell->encode_gbps = state.cell->reconstruct_gbps = 0;
-  }
+  double warmup_gbps[2] = {};
+  RunErasureCodecPass(states[0], warmup_gbps[0], warmup_gbps[1]);  // page faults, turbo
+  const char* kernel = GfKernelName();
   for (int pass = 0; pass < kErasurePasses; ++pass) {
     for (auto& state : states) {
-      RunErasureCodecPass(state);
+      ErasureCell& cell = *state.cell;
+      RunErasureCodecPass(state, cell.encode_gbps, cell.reconstruct_gbps);
+      const bool simd = SetGfSimdEnabled(false);
+      RunErasureCodecPass(state, cell.scalar_encode_gbps, cell.scalar_reconstruct_gbps);
+      SetGfSimdEnabled(simd);
     }
   }
   for (auto& state : states) {
@@ -1380,9 +1390,12 @@ int RunErasure(const char* json_path) {
       std::fprintf(stderr, "erasure cell %s failed\n", cell.name);
       return 1;
     }
-    std::printf("erasure %-6s k=%2u m=%u  encode %6.2f GB/s  reconstruct %6.2f GB/s  "
-                "read copies/B %.2f  degraded p50 %6.0fus p99 %7.0fus copies/B %.2f\n",
-                cell.name, cell.k, cell.m, cell.encode_gbps, cell.reconstruct_gbps,
+    std::printf("erasure %-6s k=%2u m=%u  encode %6.2f GB/s (%.1fx scalar)  "
+                "reconstruct %6.2f GB/s (%.1fx scalar)  read copies/B %.2f  "
+                "degraded p50 %6.0fus p99 %7.0fus copies/B %.2f\n",
+                cell.name, cell.k, cell.m, cell.encode_gbps,
+                cell.encode_gbps / cell.scalar_encode_gbps, cell.reconstruct_gbps,
+                cell.reconstruct_gbps / cell.scalar_reconstruct_gbps,
                 cell.read_copies_per_byte, cell.degraded_p50_us, cell.degraded_p99_us,
                 cell.degraded_copies_per_byte);
   }
@@ -1404,7 +1417,7 @@ int RunErasure(const char* json_path) {
   if (json_path != nullptr) {
     std::string json = "{\n  \"bench\": \"erasure\",\n";
     char line[160];
-    std::snprintf(line, sizeof(line), "  \"kernel\": \"%s\",\n", GfKernelName());
+    std::snprintf(line, sizeof(line), "  \"kernel\": \"%s\",\n", kernel);
     json += line;
     for (const ErasureCell& cell : cells) {
       auto put = [&](const char* key, double value) {
@@ -1413,6 +1426,8 @@ int RunErasure(const char* json_path) {
       };
       put("encode_gbps", cell.encode_gbps);
       put("reconstruct_gbps", cell.reconstruct_gbps);
+      put("encode_vs_scalar", cell.encode_gbps / cell.scalar_encode_gbps);
+      put("reconstruct_vs_scalar", cell.reconstruct_gbps / cell.scalar_reconstruct_gbps);
       put("read_copies_per_byte", cell.read_copies_per_byte);
       put("degraded_p50_us", cell.degraded_p50_us);
       put("degraded_p99_us", cell.degraded_p99_us);
