@@ -151,7 +151,8 @@ struct UdpStripedRig {
   std::unique_ptr<SwiftFile> file;
 
   // Returns a non-OK status on any setup failure (caller SkipWithError's).
-  Status Init(uint32_t num_agents, uint32_t window, double loss, size_t bytes) {
+  Status Init(uint32_t num_agents, uint32_t window, double loss, size_t bytes,
+              ParityMode parity = ParityMode::kNone) {
     for (uint32_t i = 0; i < num_agents; ++i) {
       agents.push_back(std::make_unique<Agent>(
           UdpAgentServer::Options{.port = 0, .loss_probability = loss, .loss_seed = 10 + i}));
@@ -170,7 +171,7 @@ struct UdpStripedRig {
     plan.object_name = "bench";
     plan.stripe.num_agents = num_agents;
     plan.stripe.stripe_unit = KiB(16);
-    plan.stripe.parity = ParityMode::kNone;
+    plan.stripe.parity = parity;
     for (uint32_t i = 0; i < num_agents; ++i) {
       plan.agent_ids.push_back(i);
     }
@@ -305,6 +306,60 @@ void BM_UdpRead4K(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UdpRead4K)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+// Client-reactor probe for writes: random 4 KiB writes on an idle XOR(3+1)
+// stripe (16 KiB units) over UDP loopback. Each is a partial-row
+// read-modify-write: a 2-op gather (old data, old parity), then a 2-op write,
+// the two ops of each batch on the data column and the parity column. With
+// one client reactor per column (4+ cores) the waiter drives both reactors
+// itself, so a write hands nothing to a reactor thread and writes the wake
+// pipe 0 times. Reports, per write:
+//   * reactor_kicks_per_write — swift_udp_client_reactor_kicks_total,
+//     hand-offs of a reactor to its own thread: 4 when each batch goes to
+//     the reactor threads (each op's column is kicked once);
+//   * wake_writes_per_write — swift_udp_client_wake_writes_total;
+//   * reactor_wakeups_per_write — swift_udp_client_reactor_wakeups_total,
+//     the waiter's poll returns and the reactor threads' alike: 4 when the
+//     reactor threads run the batches (one per column per round trip); 2 to
+//     4 when the waiter drives them, as one poll return covers both columns
+//     only when both replies are in when it wakes.
+// ci.sh gates kicks and wake writes at <= 0.05 per write.
+void BM_UdpPartialWrite4K(benchmark::State& state) {
+  constexpr size_t kBytes = 16 * 3 * KiB(16);
+  constexpr size_t kWrite = KiB(4);
+  UdpStripedRig rig;
+  if (Status init = rig.Init(4, 4, /*loss=*/0, kBytes, ParityMode::kRotating); !init.ok()) {
+    state.SkipWithError(init.ToString().c_str());
+    return;
+  }
+  Counter* kicks = MetricRegistry::Global().GetCounter("swift_udp_client_reactor_kicks_total");
+  Counter* wake_writes = MetricRegistry::Global().GetCounter("swift_udp_client_wake_writes_total");
+  Counter* wakeups = MetricRegistry::Global().GetCounter("swift_udp_client_reactor_wakeups_total");
+  const uint64_t kicks_before = kicks->Value();
+  const uint64_t writes_before = wake_writes->Value();
+  const uint64_t wakeups_before = wakeups->Value();
+  const std::vector<uint8_t> payload = RandomBytes(kWrite, 12);
+  Rng rng(13);
+  uint64_t writes = 0;
+  for (auto _ : state) {
+    const uint64_t offset = kWrite * static_cast<uint64_t>(rng.UniformInt(0, kBytes / kWrite - 1));
+    auto n = rig.file->PWrite(offset, payload);
+    if (!n.ok()) {
+      state.SkipWithError(n.status().ToString().c_str());
+      return;
+    }
+    ++writes;
+  }
+  if (writes > 0) {
+    state.counters["reactor_kicks_per_write"] =
+        static_cast<double>(kicks->Value() - kicks_before) / static_cast<double>(writes);
+    state.counters["wake_writes_per_write"] =
+        static_cast<double>(wake_writes->Value() - writes_before) / static_cast<double>(writes);
+    state.counters["reactor_wakeups_per_write"] =
+        static_cast<double>(wakeups->Value() - wakeups_before) / static_cast<double>(writes);
+  }
+}
+BENCHMARK(BM_UdpPartialWrite4K)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // Read-ahead probe: sequential 4-row reads (3 columns, 16 KiB units, no
 // parity) passing over a 128-row object again and again on UDP loopback.

@@ -146,6 +146,36 @@ printf 'wake_writes_per_read %.3f (<= 0.05), reactor_wakeups_per_read %.3f (<= 1
   "${RX_WAKES}" "${RX_POLLS}"
 rm -f "${RX_JSON}"
 
+# Small-batch client-reactor gate: a 4 KiB partial-row write on an idle
+# XOR(3+1) UDP stripe is driven by its waiter — the gather and the write, each
+# one op on the data column's reactor and one on the parity column's, hand
+# nothing to a reactor thread and write no wake pipe (budgets 0.05 per write).
+# Running them on the reactor threads costs 4 hand-offs per write. Poll
+# returns are printed, not gated: one return covers both columns only when
+# both replies are in when the waiter wakes (2.7-3.2 per write measured, 4 on
+# the reactor threads). The probe needs one reactor per column, and the process
+# runs one per core up to four, so the gate holds on hosts with 4+ cores.
+echo "== small-batch client reactor gate (reactor_kicks_per_write <= 0.05, wake_writes_per_write <= 0.05) =="
+if [ "${JOBS}" -ge 4 ]; then
+  PW_JSON="$(mktemp)"
+  ./build/bench/micro_benchmarks --benchmark_filter=BM_UdpPartialWrite4K \
+      --benchmark_min_time=0.2 --benchmark_format=json > "${PW_JSON}"
+  PW_KICKS="$(grep -o '"reactor_kicks_per_write": [0-9.e+-]*' "${PW_JSON}" | head -1 | awk '{print $2}')"
+  PW_WAKES="$(grep -o '"wake_writes_per_write": [0-9.e+-]*' "${PW_JSON}" | head -1 | awk '{print $2}')"
+  PW_POLLS="$(grep -o '"reactor_wakeups_per_write": [0-9.e+-]*' "${PW_JSON}" | head -1 | awk '{print $2}')"
+  [ -n "${PW_KICKS}" ] && [ -n "${PW_WAKES}" ] && [ -n "${PW_POLLS}" ] \
+    || { echo "FAIL: no small-batch client-reactor counters in probe output"; cat "${PW_JSON}"; exit 1; }
+  awk -v k="${PW_KICKS}" 'BEGIN { exit !(k <= 0.05) }' \
+    || { echo "FAIL: reactor_kicks_per_write ${PW_KICKS} > 0.05 (partial-row writes hop to the reactor threads)"; exit 1; }
+  awk -v w="${PW_WAKES}" 'BEGIN { exit !(w <= 0.05) }' \
+    || { echo "FAIL: wake_writes_per_write ${PW_WAKES} > 0.05 (partial-row writes hop to the reactor threads)"; exit 1; }
+  printf 'reactor_kicks_per_write %.3f (<= 0.05), wake_writes_per_write %.3f (<= 0.05), reactor_wakeups_per_write %.2f\n' \
+    "${PW_KICKS}" "${PW_WAKES}" "${PW_POLLS}"
+  rm -f "${PW_JSON}"
+else
+  echo "skipped: ${JOBS} cores, fewer client reactors than the probe's 4 columns"
+fi
+
 # CRC-32 kernel gate: every striped byte pays several CRC passes (wire
 # encode/decode, at-rest seal/verify), so the kernel caps the data path.
 # The dispatched kernel must sustain >= 1000 MB/s on 8 KiB payloads. The

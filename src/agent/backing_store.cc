@@ -1,6 +1,7 @@
 #include "src/agent/backing_store.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -11,6 +12,60 @@
 namespace swift {
 
 // ------------------------------------------------------ InMemoryBackingStore
+
+namespace {
+
+// ThreadSanitizer does not intercept mremap(2): the addresses a move leaves
+// keep their shadow state, which it reports as races once a later mapping
+// reuses them. Under it, growth maps anew and copies instead.
+#if defined(__SANITIZE_THREAD__)
+constexpr bool kRemap = false;
+#else
+constexpr bool kRemap = true;
+#endif
+
+uint64_t RoundUpToPage(uint64_t bytes) {
+  static const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  return (bytes + page - 1) / page * page;
+}
+
+}  // namespace
+
+InMemoryBackingStore::File::~File() {
+  if (base_ != nullptr) {
+    ::munmap(base_, capacity_);
+  }
+}
+
+Status InMemoryBackingStore::File::Resize(uint64_t size) {
+  if (size > capacity_) {
+    const uint64_t capacity = RoundUpToPage(std::max(size, 2 * capacity_));
+    void* grown = kRemap && base_ != nullptr
+                      ? ::mremap(base_, capacity_, capacity, MREMAP_MAYMOVE)
+                      : ::mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (grown == MAP_FAILED) {
+      return ResourceExhaustedError("growing a store file to " + std::to_string(size) +
+                                    " bytes: " + std::strerror(errno));
+    }
+    if (!kRemap && base_ != nullptr) {
+      std::memcpy(grown, base_, size_);
+      ::munmap(base_, capacity_);
+    }
+    base_ = static_cast<uint8_t*>(grown);
+    capacity_ = capacity;
+  } else if (size < size_) {
+    // Zero what is cut off: the rest of the new last page by hand, whole
+    // pages by handing them back (they read as zeros when touched again).
+    const uint64_t whole = std::min(RoundUpToPage(size), size_);
+    std::memset(base_ + size, 0, whole - size);
+    if (const uint64_t end = RoundUpToPage(size_); end > whole) {
+      ::madvise(base_ + whole, end - whole, MADV_DONTNEED);
+    }
+  }
+  size_ = size;
+  return OkStatus();
+}
 
 bool InMemoryBackingStore::Exists(const std::string& object_name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -30,14 +85,14 @@ Result<BufferSlice> InMemoryBackingStore::ReadAt(const std::string& object_name,
   if (it == files_.end()) {
     return NotFoundError("no store file '" + object_name + "'");
   }
-  const std::vector<uint8_t>& file = it->second;
+  const File& file = it->second;
   if (offset >= file.size()) {
     // Fully past EOF: zero-extension comes straight off the shared zero
     // page — no allocation, no memset, no copy.
     return BufferSlice::ZeroPage(length);
   }
-  // The file vector is mutable under later writes, so the served page must
-  // be a snapshot: one counted copy out of the store.
+  // The file is mutable under later writes, so the served page must be a
+  // snapshot: one counted copy out of the store.
   Buffer out = Buffer::AllocateZeroed(length);
   const uint64_t available = std::min<uint64_t>(length, file.size() - offset);
   if (available > 0) {
@@ -54,9 +109,9 @@ Status InMemoryBackingStore::WriteAt(const std::string& object_name, uint64_t of
   if (it == files_.end()) {
     return NotFoundError("no store file '" + object_name + "'");
   }
-  std::vector<uint8_t>& file = it->second;
+  File& file = it->second;
   if (offset + data.size() > file.size()) {
-    file.resize(offset + data.size(), 0);
+    SWIFT_RETURN_IF_ERROR(file.Resize(offset + data.size()));
   }
   if (!data.empty()) {
     std::memcpy(file.data() + offset, data.data(), data.size());
@@ -79,8 +134,7 @@ Status InMemoryBackingStore::Truncate(const std::string& object_name, uint64_t s
   if (it == files_.end()) {
     return NotFoundError("no store file '" + object_name + "'");
   }
-  it->second.resize(size, 0);
-  return OkStatus();
+  return it->second.Resize(size);
 }
 
 Status InMemoryBackingStore::Remove(const std::string& object_name) {

@@ -57,7 +57,7 @@ class BackingStore {
   }
 };
 
-// Heap-backed store for tests and simulation.
+// Memory-backed store for tests, simulation and benchmarks.
 class InMemoryBackingStore : public BackingStore {
  public:
   bool Exists(const std::string& object_name) override;
@@ -70,12 +70,34 @@ class InMemoryBackingStore : public BackingStore {
   Status Truncate(const std::string& object_name, uint64_t size) override;
   Status Remove(const std::string& object_name) override;
 
-  // Total bytes held across files (tests).
+  // Total bytes held across files: the sum of their sizes.
   uint64_t TotalBytes();
 
  private:
+  // One object's bytes in one anonymous mapping, grown with mremap(2): the
+  // pages move and no byte is copied, so a file grown by doubling never
+  // stalls the agent copying what it already holds. Bytes from size() to
+  // the end of the mapping are always zero, so an extension reads zeros.
+  class File {
+   public:
+    File() = default;
+    File(const File&) = delete;
+    File& operator=(const File&) = delete;
+    ~File();
+
+    uint64_t size() const { return size_; }
+    uint8_t* data() const { return base_; }
+    // Sets the size; a shrink zeroes the bytes it cuts off.
+    Status Resize(uint64_t size);
+
+   private:
+    uint8_t* base_ = nullptr;
+    uint64_t size_ = 0;
+    uint64_t capacity_ = 0;  // mapped bytes, whole pages
+  };
+
   std::mutex mutex_;
-  std::map<std::string, std::vector<uint8_t>> files_;
+  std::map<std::string, File> files_;
 };
 
 // Files under `root` directory, one per object. Object names are sanitized

@@ -56,6 +56,7 @@ struct ClientMetrics {
   Counter* retransmissions;
   Counter* backoff_resets;
   Counter* reactor_wakeups;
+  Counter* reactor_kicks;
   Counter* wake_writes;
   Counter* overloaded_replies;
   Counter* deadline_failures;
@@ -73,6 +74,7 @@ const ClientMetrics& Metrics() {
         registry.GetCounter("swift_udp_client_retransmissions_total"),
         registry.GetCounter("swift_udp_client_backoff_resets_total"),
         registry.GetCounter("swift_udp_client_reactor_wakeups_total"),
+        registry.GetCounter("swift_udp_client_reactor_kicks_total"),
         registry.GetCounter("swift_udp_client_wake_writes_total"),
         registry.GetCounter("swift_udp_client_overloaded_replies_total"),
         registry.GetCounter("swift_udp_client_deadline_failures_total"),
@@ -158,9 +160,6 @@ void PatchDeadline(std::vector<uint8_t>& head, uint64_t budget_us) {
         static_cast<uint8_t>(budget_us >> (56 - 8 * i));
   }
 }
-
-// The reactor this thread is driving, if any.
-thread_local const void* t_driving = nullptr;
 
 }  // namespace
 
@@ -488,6 +487,20 @@ class UdpTransport::PendingOp {
   virtual bool OnMessage(const Message& m) = 0;
   // The retransmission deadline expired. True when finished.
   virtual bool OnTimeout() = 0;
+  // The retransmission deadline expired with the retry budget spent, but the
+  // agent last answered less than the policy's silence span ago: re-arms the
+  // deadline for the end of that span, with no resend, and returns true.
+  bool WaitOutSilence() {
+    if (!channel_->policy.Exhausted(timeouts_ + 1) || PastDeadline()) {
+      return false;
+    }
+    const Clock::time_point end = heard_ + std::chrono::milliseconds(channel_->policy.SilenceMs());
+    if (Clock::now() >= end) {
+      return false;
+    }
+    deadline_ = has_op_deadline_ ? std::min(end, op_deadline_) : end;
+    return true;
+  }
   // Force-completes with `status` (cancellation, session or channel teardown).
   virtual void Abort(Status status) = 0;
 
@@ -591,7 +604,11 @@ class UdpTransport::PendingOp {
   // loop wakes AT the deadline — an expired budget surfaces as a prompt
   // OnTimeout → PastDeadline failure, not at the next scheduled retry.
   void ArmDeadline() {
-    deadline_ = Clock::now() + std::chrono::milliseconds(timeout_ms_);
+    const Clock::time_point now = Clock::now();
+    if (std::exchange(progressed_, false)) {
+      heard_ = now;
+    }
+    deadline_ = now + std::chrono::milliseconds(timeout_ms_);
     if (has_op_deadline_ && op_deadline_ < deadline_) {
       deadline_ = op_deadline_;
     }
@@ -617,6 +634,7 @@ class UdpTransport::PendingOp {
   // schedule too (reads do, writes keep the current timeout on a NACK).
   void NoteProgress(bool reset_backoff) {
     timeouts_ = 0;
+    progressed_ = true;
     if (reset_backoff) {
       const int fresh = channel_->InitialTimeoutMs(data_bytes());
       if (timeout_ms_ != fresh) {
@@ -681,6 +699,10 @@ class UdpTransport::PendingOp {
   Clock::time_point deadline_{};
   Clock::time_point op_deadline_{};  // absolute end of the op's budget
   Clock::time_point started_ = Clock::now();
+  // The op's start or the agent's last progress reply: set by the
+  // ArmDeadline that follows either, which reads the clock anyway.
+  Clock::time_point heard_ = started_;
+  bool progressed_ = true;
 
   // Span state. trace_id == 0 ⇒ this op is untraced and every hook above
   // is a no-op. Mutated on the submitting thread (constructor) and the
@@ -715,14 +737,18 @@ UdpTransport::Channel::Channel(UdpTransport* owner)
 //  * One thread at a time holds the driver role (`driving_`, under mutex_);
 //    only it touches `active_` and the channels' congestion and send state.
 //    The reactor's own thread takes the role when kicked and keeps it while
-//    work is left. A waiter takes it in Poll() when nobody holds it, runs
-//    turns until a completion ran, and hands it back, kicking the reactor
-//    thread if work is left — so no waiter is stranded at a hand-off.
+//    work is left. A waiter takes it in Poll() when nobody holds it — on this
+//    reactor and on every other one it holds an op on, all or none — runs
+//    turns over all of them in one poll(2) until a completion ran, and gives
+//    each back: an idle one freed, one whose only live op is left held for
+//    its next Poll(), any other handed to the reactor thread — so no waiter
+//    is stranded at a hand-off.
 //  * Other threads hand ops, cancels and detaches over through mutex_. While
 //    a driver may block in poll, the first addition to empty lists writes
 //    the wake pipe; the driver itself never does (an addition after its swap
 //    makes the coming poll return at once). With no driver, a submit kicks
-//    the reactor thread, unless it is held for its submitter's Poll().
+//    the reactor thread, unless it is the reactor's only live op, submitted
+//    in a PollScope: then it is held for its submitter's Poll().
 //  * Request ids are unique per reactor, and a datagram reaches an op only
 //    if it arrived on that op's own session: channels never cross-deliver.
 //    Sessions are shared_ptr, so a socket outlives concurrent removal; each
@@ -1118,7 +1144,7 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   // Completes the channel's ops kUnavailable and waits until the reactor
   // holds no reference to it.
   void Detach(Channel* channel) {
-    SWIFT_CHECK(t_driving != this) << "transport destroyed from a completion on its reactor";
+    SWIFT_CHECK(!DrivenHere()) << "transport destroyed from a completion on its reactor";
     std::unique_lock<std::mutex> lock(mutex_);
     channel->attached = false;
     const bool wake = NeedsWake();
@@ -1196,7 +1222,9 @@ class UdpTransport::Reactor final : public PollScope::Holder {
       if (!driving_) {
         // Held only when it is the reactor's one op: any other work (and
         // any later submit) kicks the reactor thread, which starts it too.
-        hold = PollScope::active() && live_ops_ == 1;
+        // A driving thread (an op started from a completion) holds nothing:
+        // it may never poll again.
+        hold = PollScope::active() && live_ops_ == 1 && t_driven_.empty();
         if (hold) {
           held_by_ = std::this_thread::get_id();
         } else {
@@ -1232,27 +1260,66 @@ class UdpTransport::Reactor final : public PollScope::Holder {
     }
   }
 
-  // Caller-driven completion: when no thread drives, this thread does, for
-  // turns until a completion has run, then hands the role back.
+  // Caller-driven completion: claims this reactor and every other one this
+  // thread holds an op on, when no other thread drives any of them, and
+  // drives them together — one poll(2) over all their sockets per turn —
+  // until a completion has run. Returns 0, with the thread's holds handed to
+  // the reactor threads, when another thread drives one of them or nothing
+  // is live.
   size_t Poll() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (driving_ || live_ops_ == 0 || t_driving != nullptr) {
-        return 0;
+    if (!t_driven_.empty()) {
+      return 0;  // called from a completion: this thread already drives
+    }
+    bool taken = false;
+    auto claim = [&taken](Reactor* reactor, bool held_only) {
+      std::lock_guard<std::mutex> lock(reactor->mutex_);
+      if (reactor->driving_) {
+        taken = true;
+      } else if (held_only ? reactor->held_by_ == std::this_thread::get_id()
+                           : reactor->live_ops_ > 0) {
+        reactor->Claim();
+        t_driven_.push_back(reactor);
       }
-      Claim();
+    };
+    claim(this, /*held_only=*/false);
+    for (PollScope::Holder* holder : PollScope::holders()) {
+      auto* reactor = dynamic_cast<Reactor*>(holder);
+      if (!taken && reactor != nullptr && reactor != this) {
+        claim(reactor, /*held_only=*/true);
+      }
     }
-    t_driving = this;
+    if (taken || t_driven_.empty()) {
+      for (Reactor* reactor : t_driven_) {
+        reactor->Release(/*hand_off=*/true);
+      }
+      t_driven_.clear();
+      PollScope::ReleaseHeld();
+      return 0;
+    }
+    PollScope::ForgetHeld();  // every live hold is now a claim
+
     size_t ran = 0;
-    bool released = false;
-    while (ran == 0 && !released) {
-      ran += Turn(/*block=*/true);
-      released = Release(/*hand_off=*/false);
+    while (ran == 0 && !t_driven_.empty()) {
+      t_pfds_.clear();
+      int timeout_ms = -1;
+      for (Reactor* reactor : t_driven_) {
+        const int ms = reactor->Prepare(/*block=*/true, t_pfds_);
+        timeout_ms = timeout_ms < 0 ? ms : ms < 0 ? timeout_ms : std::min(timeout_ms, ms);
+      }
+      if (std::ranges::any_of(t_driven_, [](const Reactor* r) { return r->requeued_; })) {
+        timeout_ms = 0;  // a later reactor's completions gave an earlier one work
+      }
+      ::poll(t_pfds_.data(), t_pfds_.size(), timeout_ms);
+      Metrics().reactor_wakeups->Increment();
+      for (Reactor* reactor : t_driven_) {
+        ran += reactor->Finish(t_pfds_);
+      }
+      std::erase_if(t_driven_, [](Reactor* reactor) { return reactor->Release(/*hand_off=*/false); });
     }
-    if (!released) {
-      Release(/*hand_off=*/true);
+    for (Reactor* reactor : t_driven_) {
+      reactor->HoldOrHandOff();
     }
-    t_driving = nullptr;
+    t_driven_.clear();
     return ran;
   }
 
@@ -1261,7 +1328,7 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   void CatchUp() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (driving_ || t_driving != nullptr) {
+      if (driving_ || !t_driven_.empty()) {
         return;
       }
       Claim();
@@ -1270,25 +1337,24 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   }
 
   void Drain(Channel& channel) {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (channel.live_ops == 0) {
-          return;
-        }
-      }
+    auto drained = [this, &channel] {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return channel.live_ops == 0;
+    };
+    while (!drained()) {
       if (Poll() == 0) {
         std::unique_lock<std::mutex> lock(mutex_);
         settled_cv_.wait(lock, [&channel] { return channel.live_ops == 0; });
       }
     }
+    PollScope::ReleaseHeld();  // a reactor Poll() left held
   }
 
   // Runs `start(done)` and blocks until `done` ran, driving the reactor from
   // this thread whenever no other thread does (the sync wrappers' core).
   template <typename T, typename Start>
   T Await(Start start) {
-    SWIFT_CHECK(t_driving != this) << "blocking transport call from a completion";
+    SWIFT_CHECK(!DrivenHere()) << "blocking transport call from a completion";
     std::mutex mutex;
     std::condition_variable cv;
     std::optional<T> slot;
@@ -1310,6 +1376,9 @@ class UdpTransport::Reactor final : public PollScope::Holder {
         cv.wait(lock, [&] { return slot.has_value(); });
       }
     }
+    // Ops held before this call, or a reactor Poll() left held, go to their
+    // reactor threads: the caller may block next on something else.
+    PollScope::ReleaseHeld();
     return std::move(*slot);
   }
 
@@ -1345,6 +1414,7 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   void Kick() {
     held_by_ = {};
     if (!kicked_) {
+      Metrics().reactor_kicks->Increment();
       kicked_ = true;
       run_cv_.notify_one();
     }
@@ -1357,7 +1427,7 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   // it: an addition made after this turn's swap makes the coming poll return
   // at once instead.
   bool NeedsWake() {
-    if (t_driving == this) {
+    if (DrivenHere()) {
       requeued_ = true;
       return false;
     }
@@ -1394,12 +1464,34 @@ class UdpTransport::Reactor final : public PollScope::Holder {
     return true;
   }
 
+  // A waiter's Poll() is done with this reactor, whose work is not: it stays
+  // held for the waiter's next Poll() when the waiter's op is its only live
+  // one, and goes to the reactor thread otherwise.
+  void HoldOrHandOff() {
+    bool hold = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      driving_ = false;
+      hold = live_ops_ == 1;
+      if (hold) {
+        held_by_ = std::this_thread::get_id();
+      } else {
+        Kick();
+      }
+    }
+    if (hold) {
+      PollScope::Hold(this);
+    }
+  }
+
+  bool DrivenHere() const { return std::ranges::find(t_driven_, this) != t_driven_.end(); }
+
   // One non-blocking turn by a thread that just claimed the role.
   void DriveOnce() {
-    t_driving = this;
+    t_driven_.push_back(this);
     Turn(/*block=*/false);
     Release(/*hand_off=*/true);
-    t_driving = nullptr;
+    t_driven_.pop_back();
   }
 
   void Run() {
@@ -1409,11 +1501,11 @@ class UdpTransport::Reactor final : public PollScope::Holder {
         run_cv_.wait(lock, [this] { return kicked_ && !driving_; });
         Claim();
       }
-      t_driving = this;
+      t_driven_.push_back(this);
       do {
         Turn(/*block=*/true);
       } while (!Release(/*hand_off=*/false));
-      t_driving = nullptr;
+      t_driven_.clear();
     }
   }
 
@@ -1706,20 +1798,29 @@ class UdpTransport::Reactor final : public PollScope::Holder {
     }
   }
 
-  // One loop turn: takes the handed-over work, starts ops, flushes sends,
-  // polls every socket (out to the nearest deadline; not at all unless
-  // `block`), routes replies, then applies cancellations and timeouts.
-  // Returns the completions it ran.
+  // One loop turn of this reactor alone: prepare, poll, finish. Returns the
+  // completions it ran.
   size_t Turn(bool block) {
+    pfds_.clear();
+    const int timeout_ms = Prepare(block, pfds_);
+    ::poll(pfds_.data(), pfds_.size(), timeout_ms);
+    Metrics().reactor_wakeups->Increment();
+    return Finish(pfds_);
+  }
+
+  // First half of a turn: takes the handed-over work, starts ops, flushes
+  // sends, and appends the wake pipe and every session socket to `pfds`.
+  // Returns the poll timeout: out to the nearest deadline, 0 when work is
+  // already waiting or `block` is false.
+  int Prepare(bool block, std::vector<pollfd>& pfds) {
     completions_ = 0;
     std::vector<std::unique_ptr<PendingOp>> fresh;
-    std::vector<uint32_t> cancels;
     std::vector<SessionPtr> gone;
     std::vector<Channel*> leaving;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       fresh.swap(inbox_);
-      cancels.swap(cancels_);
+      turn_cancels_.swap(cancels_);
       gone.swap(removals_);
       leaving.swap(detaching_);
       snapshot_ = sessions_;
@@ -1776,22 +1877,26 @@ class UdpTransport::Reactor final : public PollScope::Holder {
 
     // Poll the wake pipe plus every live session socket. Pending cancels, or
     // work a completion added since the swap, must not wait for a datagram.
-    pfds_.clear();
-    pfds_.push_back({wake_fds_[0], POLLIN, 0});
+    pfd_begin_ = pfds.size();
+    pfds.push_back({wake_fds_[0], POLLIN, 0});
     for (const SessionPtr& session : snapshot_) {
-      pfds_.push_back({session->socket.fd(), POLLIN, 0});
+      pfds.push_back({session->socket.fd(), POLLIN, 0});
     }
-    const int timeout_ms = block && !requeued_ && cancels.empty() ? TimeoutMs() : 0;
-    ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    Metrics().reactor_wakeups->Increment();
+    return block && !requeued_ && turn_cancels_.empty() ? TimeoutMs() : 0;
+  }
 
-    if (pfds_[0].revents & POLLIN) {
+  // Second half: drains the wake pipe, receives on the sockets `pfds` found
+  // readable, then applies cancellations and timeouts. Returns the
+  // completions the turn ran, both halves together.
+  size_t Finish(std::span<const pollfd> pfds) {
+    const pollfd* mine = pfds.data() + pfd_begin_;
+    if (mine[0].revents & POLLIN) {
       uint8_t buf[64];
       while (read(wake_fds_[0], buf, sizeof(buf)) > 0) {
       }
     }
     for (size_t i = 0; i < snapshot_.size(); ++i) {
-      if ((pfds_[i + 1].revents & POLLIN) != 0 || snapshot_[i]->socket.NextChaosReleaseMs() == 0) {
+      if ((mine[i + 1].revents & POLLIN) != 0 || snapshot_[i]->socket.NextChaosReleaseMs() == 0) {
         Receive(snapshot_[i]);
       }
     }
@@ -1802,15 +1907,19 @@ class UdpTransport::Reactor final : public PollScope::Holder {
     // completes kCancelled here and leaves active_, so nothing can write its
     // destination buffer again — any reply that arrives later matches the
     // recent-done ring and is counted as a late datagram, never placed.
-    for (uint32_t id : cancels) {
+    for (uint32_t id : turn_cancels_) {
       if (AbortIf([id](const PendingOp& op) { return op.request_id() == id; },
                   CancelledError("read cancelled by submitter")) > 0) {
         Metrics().cancelled_reads->Increment();
       }
     }
 
+    turn_cancels_.clear();
+
     const auto now = Clock::now();
-    EraseIf([now](PendingOp& op) { return op.deadline() <= now && op.OnTimeout(); });
+    EraseIf([now](PendingOp& op) {
+      return op.deadline() <= now && !op.WaitOutSilence() && op.OnTimeout();
+    });
     return completions_;
   }
 
@@ -1822,7 +1931,7 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   std::condition_variable settled_cv_;  // a channel drained or detached
   bool driving_ = false;                // some thread holds the driver role
   bool kicked_ = false;                 // the reactor thread should take it
-  std::thread::id held_by_;             // a thread holding the one inbox op
+  std::thread::id held_by_;             // a thread holding the one live op
   uint64_t live_ops_ = 0;               // submitted, completion not yet run
   std::vector<std::unique_ptr<PendingOp>> inbox_;
   std::vector<uint32_t> cancels_;  // request ids to cancel next turn
@@ -1831,9 +1940,16 @@ class UdpTransport::Reactor final : public PollScope::Holder {
   std::vector<SessionPtr> sessions_;
   std::vector<Channel*> channels_;
 
+  // The reactors this thread drives: its own, or every one a waiter's
+  // Poll() claimed; and that Poll()'s pollfd scratch, reused per turn.
+  static inline thread_local std::vector<Reactor*> t_driven_;
+  static inline thread_local std::vector<pollfd> t_pfds_;
+
   // Driver only (the mutex hand-off of the role orders access).
   bool requeued_ = false;  // the driver added work since its last swap
   size_t completions_ = 0;  // run by the current turn
+  std::vector<uint32_t> turn_cancels_;  // this turn's cancels, applied in Finish
+  size_t pfd_begin_ = 0;                // this reactor's first entry in the turn's pollfds
   ActiveMap active_;
   static constexpr size_t kRecentDoneCap = 512;
   std::unordered_set<uint32_t> recent_done_;

@@ -11,9 +11,13 @@
 // with stripe width. Submitting never blocks; up to max_in_flight_ops stay
 // outstanding per channel, so the striping layer can pipeline stripe units.
 // One thread at a time drives a reactor: its own thread, or — when no thread
-// does — a caller waiting in Poll() for its only op. Then that op's request
-// leaves from, and its reply is completed on, the caller's thread: no pipe
-// write, no condition-variable hop. The synchronous calls wait that way.
+// does — a caller waiting in Poll() for ops it holds (PollScope), at most one
+// per reactor: a lone read, or a small batch such as a partial-row write's
+// gather with its data and parity ops on two reactors. The caller drives all
+// of those reactors together in one poll(2), so each op's request leaves
+// from, and its reply is completed on, the caller's thread: no pipe write,
+// no condition-variable hop. A batch with two ops on one reactor goes to
+// that reactor's thread. The synchronous calls wait the caller's way.
 //
 // Read strategy (§3.1): the client requests data one packet at a time and
 // keeps "sufficient state to determine what packets have been received and
@@ -25,7 +29,8 @@
 // Write strategy: announce with WRITE_REQ, stream every WRITE_DATA packet,
 // then query; the agent ACKs a complete request or NACKs the missing seqs,
 // which are resent. Retries use exponential backoff (RetryPolicy below); a
-// dead agent surfaces as kUnavailable after the retry budget, which is what
+// dead agent surfaces as kUnavailable after the retry budget, and no sooner
+// than the budget's span of silence on the doubling table, which is what
 // lets SwiftFile's parity machinery take over — identical failure semantics
 // to the in-proc transport.
 //
@@ -84,6 +89,18 @@ struct RetryPolicy {
   }
   // True once `timeouts_seen` consecutive timeouts exhaust the budget.
   bool Exhausted(int timeouts_seen) const { return timeouts_seen > max_retries; }
+  // Wall-clock span of the whole budget on the doubling table. Timeouts
+  // derived from an RTT estimate run shorter, but an agent is declared
+  // unreachable only once it has also been silent this long, so a stall of
+  // the client or agent process does not pass for a dead agent.
+  int SilenceMs() const {
+    int total = 0;
+    for (int i = 0, timeout = FirstTimeout(); i <= max_retries; ++i) {
+      total += timeout;
+      timeout = NextTimeout(timeout);
+    }
+    return total;
+  }
 };
 
 class UdpTransport : public AgentTransport {
@@ -203,8 +220,9 @@ class UdpTransport : public AgentTransport {
   // --cc-mode=delay (clamped to [1, max_in_flight_ops]), the static cap
   // otherwise. Schedulers re-poll this per batch.
   uint32_t current_window() const override;
-  // Drives the reactor from the calling thread when no other thread does,
-  // until at least one completion has run; 0 when another thread drives.
+  // Drives this channel's reactor, and every other one the calling thread
+  // holds an op on, from the calling thread when no other thread drives any
+  // of them, until at least one completion has run; 0 when another does.
   size_t Poll() override;
   void Drain() override;
   TransportStats stats() const override;

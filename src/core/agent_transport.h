@@ -34,11 +34,12 @@
 //     the same lifetime contract as the synchronous Write.
 //   * Poll() lets a waiting caller drive the transport itself: a transport
 //     with a service thread (the UDP reactor) may run its loop on the
-//     calling thread while no other thread does, so the caller's own op is
-//     started, answered and completed there with no thread hand-off. It
-//     returns the completions it ran; 0 means another thread delivers them,
-//     and the caller waits as usual. Drain() blocks until nothing is
-//     outstanding. Both are no-ops for synchronous transports.
+//     calling thread while no other thread does — together with every other
+//     reactor the caller holds an op on (PollScope below) — so the caller's
+//     own ops are started, answered and completed there with no thread
+//     hand-off. It returns the completions it ran; 0 means another thread
+//     delivers them, and the caller waits as usual. Drain() blocks until
+//     nothing is outstanding. Both are no-ops for synchronous transports.
 //   * Read returns exactly `length` bytes, zero-filling past the stored end
 //     of the agent file. Stripe units are conceptually zero-extended — this
 //     keeps parity arithmetic uniform; true object size lives in the object
@@ -49,6 +50,7 @@
 #ifndef SWIFT_SRC_CORE_AGENT_TRANSPORT_H_
 #define SWIFT_SRC_CORE_AGENT_TRANSPORT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -83,13 +85,14 @@ struct TransportStats {
 // Held starts, for callers that wait through Poll(). An op submitted inside a
 // PollScope, on a transport with no other work, may be held: left unstarted
 // until the submitting thread's Poll() starts it on that thread, so neither
-// the request nor the reply crosses a thread. A thread holds at most one op.
-// The next PollScope it opens, or ReleaseHeld(), hands a held op to the
-// transport's own thread, so a caller that will not Poll() calls
-// ReleaseHeld() before it blocks.
+// the request nor the reply crosses a thread. A thread holds at most one op
+// per holder (a UDP client reactor) and any number of holders, so the ops of
+// one submit round stay held together and one Poll() drives them all.
+// ReleaseHeld() hands every held op to its holder's own thread: a caller that
+// will not Poll() calls it before it blocks.
 class PollScope {
  public:
-  // What a transport registers for its held op.
+  // What a transport registers for its held ops.
   class Holder {
    public:
     virtual void StartHeld() = 0;
@@ -98,28 +101,42 @@ class PollScope {
     ~Holder() = default;
   };
 
-  PollScope() : outer_(active_) {
-    ReleaseHeld();
-    active_ = true;
-  }
-  ~PollScope() { active_ = outer_; }
+  PollScope() : outer_(current_) { current_ = this; }
+  ~PollScope() { current_ = outer_; }
   PollScope(const PollScope&) = delete;
   PollScope& operator=(const PollScope&) = delete;
 
+  // Whether an op submitted inside this scope was held.
+  bool held() const { return held_; }
+
   // Transport side: whether the op being submitted may be held, and
   // recording that it was. `holder` must outlive the thread's hold.
-  static bool active() { return active_; }
-  static void Hold(Holder* holder) { held_ = holder; }
+  static bool active() { return current_ != nullptr; }
+  static void Hold(Holder* holder) {
+    if (current_ != nullptr) {
+      current_->held_ = true;
+    }
+    if (std::find(holders_.begin(), holders_.end(), holder) == holders_.end()) {
+      holders_.push_back(holder);
+    }
+  }
+  // The holders this thread holds ops on; a driving Poll() takes them over
+  // with ForgetHeld().
+  static std::span<Holder* const> holders() { return holders_; }
+  static void ForgetHeld() { holders_.clear(); }
   static void ReleaseHeld() {
-    if (Holder* holder = std::exchange(held_, nullptr)) {
+    while (!holders_.empty()) {
+      Holder* holder = holders_.back();
+      holders_.pop_back();
       holder->StartHeld();
     }
   }
 
  private:
-  static inline thread_local bool active_ = false;
-  static inline thread_local Holder* held_ = nullptr;
-  bool outer_;
+  static inline thread_local PollScope* current_ = nullptr;
+  static inline thread_local std::vector<Holder*> holders_;
+  PollScope* outer_;
+  bool held_ = false;
 };
 
 class AgentTransport {
@@ -240,12 +257,15 @@ class AgentTransport {
   // batch breathe with the network instead of pinning the compile-time cap.
   virtual uint32_t current_window() const { return max_in_flight(); }
 
-  // Called by a thread about to wait for its one outstanding op on this
-  // instance. Runs the transport's completions on the calling thread when
-  // no other thread is running them, at least one, and returns how many ran
-  // (the caller re-checks its op and may call again). Returns 0 at once when
-  // another thread delivers them, or when nothing is outstanding: the caller
-  // then blocks as usual. Transports that complete inline have nothing to run.
+  // Called by a thread about to wait for ops it submitted, this instance's
+  // among them. Runs completions on the calling thread — this transport's and
+  // those of every other transport the thread holds an op on (PollScope) —
+  // when no other thread is running any of them, at least one, and returns
+  // how many ran (the caller re-checks its ops and may call again). Returns 0
+  // at once when another thread delivers any of them or nothing is
+  // outstanding: the caller then releases its held ops
+  // (PollScope::ReleaseHeld) and blocks as usual. Transports that complete
+  // inline have nothing to run.
   virtual size_t Poll() { return 0; }
 
   // Blocks until every outstanding op on this instance has completed,

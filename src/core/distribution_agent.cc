@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "src/util/logging.h"
 #include "src/util/metrics.h"
@@ -279,9 +280,13 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
       state_->batch_start = std::chrono::steady_clock::now();
     }
   }
-  // Wait() drives a lone op through Poll(), so the transport may hold it
-  // for this thread.
-  PollScope scope;
+  // Wait() drives the round through Poll() if every op of it was held for
+  // this thread, so the transport may hold this one — unless an op already
+  // was not: the round then goes to the transports' own threads at once.
+  std::optional<PollScope> scope;
+  if (!unheld_) {
+    scope.emplace();
+  }
   // The completion captures shared ownership of the batch state, never the
   // batch itself: the waiter may destroy the OpBatch frame the instant
   // outstanding hits zero, while the completer is still unlocking.
@@ -306,22 +311,32 @@ void OpBatch::Submit(uint32_t column, DistributionAgent::AsyncOp op) {
       done(status);
     });
   });
+  if (scope.has_value() && !scope->held()) {
+    ReleaseHeld();
+  }
+}
+
+void OpBatch::ReleaseHeld() {
+  PollScope::ReleaseHeld();
+  unheld_ = true;
 }
 
 bool OpBatch::WaitFor(std::chrono::microseconds timeout) {
   // A driving waiter could not keep the timeout: the transports' own
   // threads run the batch.
-  PollScope::ReleaseHeld();
+  ReleaseHeld();
   std::unique_lock<std::mutex> lock(state_->mutex);
   return state_->cv.wait_for(lock, timeout, [this] { return state_->outstanding == 0; });
 }
 
 void OpBatch::Await(std::unique_lock<std::mutex>& lock) {
-  // One op left when the wait begins: drive its transport from this thread
-  // (no hand-off to a reactor and back). Larger batches sleep until done.
-  while (state_->outstanding == 1) {
+  // Every op of the round held for this thread: drive their transports from
+  // here, all of them in one Poll() (no hand-off to a reactor and back).
+  // Otherwise, or once another thread drives one of them, sleep until done.
+  while (state_->outstanding > 0 && !unheld_) {
     const auto column = static_cast<uint32_t>(
-        std::ranges::find(state_->column_outstanding, 1u) - state_->column_outstanding.begin());
+        std::ranges::find_if(state_->column_outstanding, [](uint32_t n) { return n > 0; }) -
+        state_->column_outstanding.begin());
     lock.unlock();
     const size_t ran = agent_->transport(column)->Poll();
     lock.lock();
@@ -331,6 +346,7 @@ void OpBatch::Await(std::unique_lock<std::mutex>& lock) {
   }
   PollScope::ReleaseHeld();
   state_->cv.wait(lock, [this] { return state_->outstanding == 0; });
+  unheld_ = false;
 }
 
 uint64_t OpBatch::Outstanding() {

@@ -144,9 +144,15 @@ class OpBatch {
 
   // Blocks until every op submitted to this batch has completed; returns the
   // per-column aggregate statuses. May be called repeatedly (submit → wait →
-  // submit more → wait). A wait that begins with one op outstanding drives
-  // that op's transport from this thread (AgentTransport::Poll()).
+  // submit more → wait). When every op of the round was held for this thread
+  // (PollScope), the wait drives their transports from this thread
+  // (AgentTransport::Poll()) instead of sleeping.
   std::vector<Status> Wait();
+
+  // Hands the round's held ops to their transports' own threads, for a
+  // batch nobody waits on soon (a prefetch left in flight between calls);
+  // its wait then sleeps instead of driving.
+  void ReleaseHeld();
 
   // Waits until the batch drains or `timeout` elapses; true when it drained.
   // Leaves the statuses and batch timing alone — follow with Wait(). The
@@ -183,6 +189,9 @@ class OpBatch {
 
   DistributionAgent* agent_;
   std::shared_ptr<State> state_;
+  // Owner thread only: an op of this wait round was not held for the waiter,
+  // or its holds were released, so the wait sleeps instead of driving.
+  bool unheld_ = false;
 };
 
 }  // namespace swift

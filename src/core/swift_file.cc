@@ -887,9 +887,9 @@ void SwiftFile::MaybeReadAhead(uint64_t offset, uint64_t length, bool traced) {
   if (!StartRead(*job, read_end_, into).ok()) {
     return;  // nothing was submitted: a decode fails before it submits
   }
-  // Nobody waits on this batch before the next call: hand a held op to its
-  // transport's own thread now.
-  PollScope::ReleaseHeld();
+  // Nobody waits on this batch before the next call: hand its held ops to
+  // their transports' own threads now.
+  job->batch.ReleaseHeld();
   prefetch_ = std::move(job);
 }
 

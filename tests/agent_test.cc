@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 #include <sys/stat.h>
 
 #include "src/agent/backing_store.h"
@@ -86,6 +88,53 @@ TYPED_TEST(BackingStoreTest, RemoveDeletes) {
   ASSERT_TRUE(store.Ensure("obj").ok());
   ASSERT_TRUE(store.Remove("obj").ok());
   EXPECT_FALSE(store.Exists("obj"));
+}
+
+TYPED_TEST(BackingStoreTest, BytesSurviveManyDoublings) {
+  auto& store = *this->store_;
+  ASSERT_TRUE(store.Ensure("doublings").ok());
+  // Each write doubles the file, from 64 bytes to 4 MiB.
+  std::vector<uint8_t> model;
+  for (size_t size = 64; model.size() < (size_t{4} << 20); size = model.size()) {
+    std::vector<uint8_t> chunk(size);
+    for (size_t i = 0; i < size; ++i) {
+      chunk[i] = static_cast<uint8_t>((model.size() + i) * 131 + size);
+    }
+    ASSERT_TRUE(store.WriteAt("doublings", model.size(), chunk).ok());
+    model.insert(model.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_EQ(*store.Size("doublings"), model.size());
+  auto read = store.ReadAt("doublings", 0, model.size());
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(*read == model);
+}
+
+TYPED_TEST(BackingStoreTest, ShrinkThenExtendReadsZeros) {
+  auto& store = *this->store_;
+  ASSERT_TRUE(store.Ensure("shrink").ok());
+  // Several pages, then a cut in the middle of one of them.
+  ASSERT_TRUE(store.WriteAt("shrink", 0, std::vector<uint8_t>(5 * 4096 + 100, 0xab)).ok());
+  ASSERT_TRUE(store.Truncate("shrink", 5000).ok());
+  // Extended twice: by Truncate, then by a write past the end.
+  ASSERT_TRUE(store.Truncate("shrink", 12000).ok());
+  ASSERT_TRUE(store.WriteAt("shrink", 30000, Bytes({7})).ok());
+  EXPECT_EQ(*store.Size("shrink"), 30001u);
+  std::vector<uint8_t> expected(30001, 0);
+  std::fill(expected.begin(), expected.begin() + 5000, 0xab);
+  expected.back() = 7;
+  auto read = store.ReadAt("shrink", 0, expected.size());
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(*read == expected);
+}
+
+TYPED_TEST(BackingStoreTest, ReadPastEofGetsTheZeroPage) {
+  auto& store = *this->store_;
+  ASSERT_TRUE(store.Ensure("past_eof").ok());
+  ASSERT_TRUE(store.WriteAt("past_eof", 0, Bytes({1, 2, 3})).ok());
+  auto read = store.ReadAt("past_eof", 100, 4096);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->data(), BufferSlice::ZeroPage(4096).data());
+  EXPECT_TRUE(*read == std::vector<uint8_t>(4096, 0));
 }
 
 TEST(PosixBackingStoreTest, RejectsPathEscapes) {

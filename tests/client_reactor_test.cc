@@ -1,12 +1,16 @@
 // The shared client reactor behind every UdpTransport: its thread count does
 // not follow stripe width, a lone op's waiter drives it (no wake-pipe write,
-// the completion on the waiter's own thread), an op nobody waits on still
+// the completion on the waiter's own thread), so does the waiter of a small
+// batch whose ops sit one per reactor — unless another thread drives one of
+// them, two share one, or the wait is timed — an op nobody waits on still
 // retransmits and times out, waiters on different stripes hand the driver
-// role over without losing a wake-up, channels never cross-deliver, and a
-// transport destroyed with ops in flight aborts them. No test sleeps.
+// role over without losing a wake-up, channels never cross-deliver, a
+// transport destroyed with ops in flight aborts them, and partial-row writes
+// driven by their waiters match a reference model. No test sleeps.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +26,7 @@
 #include "src/agent/storage_agent.h"
 #include "src/agent/udp_agent_server.h"
 #include "src/agent/udp_transport.h"
+#include "src/core/distribution_agent.h"
 #include "src/core/object_directory.h"
 #include "src/core/swift_file.h"
 #include "src/util/metrics.h"
@@ -336,6 +341,280 @@ TEST(ClientReactorTest, DestroyingATransportAbortsItsOps) {
   auto back = survivor.Read(handle->handle, 0, data.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
+}
+
+// ------------------------------------------------- small batches, driven
+
+constexpr const char* kKicks = "swift_udp_client_reactor_kicks_total";
+constexpr const char* kWakeWrites = "swift_udp_client_wake_writes_total";
+
+// Client reactors in the process: one per core, at most four. Channels are
+// dealt over them round-robin, so transports made one after another sit on
+// different reactors when there are two or more.
+size_t ReactorPool() { return std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 4); }
+
+// One storage agent's column: a UDP transport behind a completion-thread
+// tap, with `bytes` written at offset 0 of an open file.
+struct Column {
+  Column(Agent& agent, const std::vector<uint8_t>& bytes, UdpTransport::Options options = {})
+      : transport(agent.server.port(), options), tap(&transport) {
+    auto opened = transport.Open("column", kOpenCreate);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    handle = opened.ok() ? opened->handle : 0;
+    EXPECT_TRUE(transport.Write(handle, 0, bytes).ok());
+  }
+  UdpTransport transport;
+  CompletionThreadTap tap;
+  uint32_t handle = 0;
+};
+
+// Reads the start of `column`'s file into `out` as one op of `batch`.
+void SubmitRead(OpBatch& batch, uint32_t index, Column& column, std::span<uint8_t> out) {
+  batch.Submit(index, [&column, out](AgentTransport* transport,
+                                     DistributionAgent::Completion done) {
+    transport->StartReadInto(column.handle, 0, out, std::move(done));
+  });
+}
+
+void ExpectAllOk(const std::vector<Status>& statuses) {
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+TEST(ClientReactorTest, SmallBatchOnTwoIdleReactorsIsDrivenByItsWaiter) {
+  if (ReactorPool() < 2) {
+    GTEST_SKIP() << "needs two client reactors (two cores)";
+  }
+  auto agents = StartAgents(2);
+  const std::vector<uint8_t> d0 = Pattern(KiB(4), 41);
+  const std::vector<uint8_t> d1 = Pattern(KiB(4), 42);
+  Column a(*agents[0], d0);
+  Column b(*agents[1], d1);
+  DistributionAgent distribution({&a.tap, &b.tap});
+  std::vector<uint8_t> out0(KiB(4));
+  std::vector<uint8_t> out1(KiB(4));
+
+  const uint64_t kicks = CounterValue(kKicks);
+  const uint64_t wake_writes = CounterValue(kWakeWrites);
+  {
+    OpBatch batch(&distribution);
+    SubmitRead(batch, 0, a, out0);
+    SubmitRead(batch, 1, b, out1);
+    ExpectAllOk(batch.Wait());
+  }
+  EXPECT_EQ(out0, d0);
+  EXPECT_EQ(out1, d1);
+  // Neither op went to a reactor thread.
+  EXPECT_EQ(CounterValue(kKicks), kicks);
+  EXPECT_EQ(CounterValue(kWakeWrites), wake_writes);
+  ASSERT_EQ(a.tap.threads.size(), 1u);
+  ASSERT_EQ(b.tap.threads.size(), 1u);
+  EXPECT_EQ(a.tap.threads[0], std::this_thread::get_id());
+  EXPECT_EQ(b.tap.threads[0], std::this_thread::get_id());
+}
+
+TEST(ClientReactorTest, SmallBatchFallsBackWhenAnotherThreadDrivesOneReactor) {
+  const size_t pool = ReactorPool();
+  if (pool < 2) {
+    GTEST_SKIP() << "needs two client reactors (two cores)";
+  }
+  auto agents = StartAgents(2);
+  Agent silent;
+  const std::vector<uint8_t> d0 = Pattern(KiB(4), 43);
+  const std::vector<uint8_t> d1 = Pattern(KiB(4), 44);
+  // a and b on two reactors; `busy` dealt round to a's.
+  Column a(*agents[0], d0);
+  Column b(*agents[1], d1);
+  std::vector<std::unique_ptr<UdpTransport>> fillers;
+  for (size_t i = 2; i < pool; ++i) {
+    fillers.push_back(std::make_unique<UdpTransport>(agents[0]->server.port(),
+                                                     UdpTransport::Options{}));
+  }
+  UdpTransport::Options slow;
+  slow.initial_timeout_ms = 10'000;  // the busy op lasts until its transport goes
+  slow.max_timeout_ms = 10'000;
+  std::vector<uint8_t> never(KiB(4));
+  StatusSlot aborted;
+  auto busy = std::make_unique<UdpTransport>(silent.server.port(), slow);
+  auto busy_handle = busy->Open("busy", kOpenCreate);
+  ASSERT_TRUE(busy_handle.ok());
+  silent.server.Stop();
+  DistributionAgent distribution({&a.tap, &b.tap});
+  std::vector<uint8_t> out0(KiB(4));
+  std::vector<uint8_t> out1(KiB(4));
+  {
+    OpBatch batch(&distribution);
+    SubmitRead(batch, 0, a, out0);
+    SubmitRead(batch, 1, b, out1);
+    // Both ops are held for this thread. A second op on a's reactor, from
+    // outside any PollScope, kicks its thread, which starts both and then
+    // blocks in poll for a reply that never comes.
+    const uint64_t sent = busy->datagrams_sent();
+    busy->StartReadInto(busy_handle->handle, 0, never, aborted.Completion());
+    while (busy->datagrams_sent() == sent) {
+      std::this_thread::yield();
+    }
+    ExpectAllOk(batch.Wait());
+  }
+  EXPECT_EQ(out0, d0);
+  EXPECT_EQ(out1, d1);
+  // a's op ran where it was started: on its reactor's thread.
+  ASSERT_EQ(a.tap.threads.size(), 1u);
+  EXPECT_NE(a.tap.threads[0], std::this_thread::get_id());
+  ASSERT_EQ(b.tap.threads.size(), 1u);
+  busy.reset();
+  const std::optional<Status> status = aborted.Wait(std::chrono::seconds(0));
+  ASSERT_TRUE(status.has_value()) << "the busy read outlived its transport";
+  EXPECT_EQ(status->code(), StatusCode::kUnavailable);
+}
+
+TEST(ClientReactorTest, TwoOpsOfABatchOnOneReactorGoToItsThread) {
+  Agent agent;
+  const std::vector<uint8_t> data = Pattern(KiB(4), 45);
+  Column a(agent, data);
+  DistributionAgent distribution({&a.tap});
+  std::vector<uint8_t> out0(KiB(4));
+  std::vector<uint8_t> out1(KiB(4));
+
+  const uint64_t kicks = CounterValue(kKicks);
+  {
+    OpBatch batch(&distribution);
+    SubmitRead(batch, 0, a, out0);
+    SubmitRead(batch, 0, a, out1);
+    ExpectAllOk(batch.Wait());
+  }
+  EXPECT_EQ(out0, data);
+  EXPECT_EQ(out1, data);
+  EXPECT_GE(CounterValue(kKicks), kicks + 1);
+  ASSERT_EQ(a.tap.threads.size(), 2u);
+  EXPECT_NE(a.tap.threads[0], std::this_thread::get_id());
+  EXPECT_NE(a.tap.threads[1], std::this_thread::get_id());
+}
+
+TEST(ClientReactorTest, TimedWaitReleasesEveryHeldOp) {
+  auto agents = StartAgents(2);
+  const std::vector<uint8_t> d0 = Pattern(KiB(4), 46);
+  const std::vector<uint8_t> d1 = Pattern(KiB(4), 47);
+  Column a(*agents[0], d0);
+  Column b(*agents[1], d1);
+  DistributionAgent distribution({&a.tap, &b.tap});
+  std::vector<uint8_t> out0(KiB(4));
+  std::vector<uint8_t> out1(KiB(4));
+  {
+    OpBatch batch(&distribution);
+    SubmitRead(batch, 0, a, out0);
+    SubmitRead(batch, 1, b, out1);
+    // The hedged-read loop's wait: it cannot drive and keep its timeout, so
+    // the reactor threads run both ops.
+    EXPECT_TRUE(batch.WaitFor(std::chrono::seconds(30)));
+    ExpectAllOk(batch.Wait());
+  }
+  EXPECT_EQ(out0, d0);
+  EXPECT_EQ(out1, d1);
+  ASSERT_EQ(a.tap.threads.size(), 1u);
+  ASSERT_EQ(b.tap.threads.size(), 1u);
+  EXPECT_NE(a.tap.threads[0], std::this_thread::get_id());
+  EXPECT_NE(b.tap.threads[0], std::this_thread::get_id());
+}
+
+TEST(ClientReactorTest, TransportsDestroyedRightAfterADrivenBatchLeaveNothingBehind) {
+  auto agents = StartAgents(3);
+  const std::vector<uint8_t> d0 = Pattern(KiB(4), 48);
+  const std::vector<uint8_t> d1 = Pattern(KiB(4), 49);
+  for (int round = 0; round < 8; ++round) {
+    auto a = std::make_unique<Column>(*agents[0], d0);
+    auto b = std::make_unique<Column>(*agents[1], d1);
+    std::vector<uint8_t> out0(KiB(4));
+    std::vector<uint8_t> out1(KiB(4));
+    {
+      DistributionAgent distribution({&a->tap, &b->tap});
+      OpBatch batch(&distribution);
+      SubmitRead(batch, 0, *a, out0);
+      SubmitRead(batch, 1, *b, out1);
+      ExpectAllOk(batch.Wait());
+    }
+    a.reset();
+    b.reset();
+    EXPECT_EQ(out0, d0);
+    EXPECT_EQ(out1, d1);
+  }
+  // The reactors carry on for every other channel.
+  UdpTransport survivor(agents[2]->server.port(), UdpTransport::Options{});
+  auto handle = survivor.Open("after", kOpenCreate);
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(survivor.Write(handle->handle, 0, d0).ok());
+  auto back = survivor.Read(handle->handle, 0, d0.size());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, d0);
+}
+
+// Random partial-row writes (and reads) on an XOR(3+1) stripe over UDP,
+// checked byte for byte against a model. Two threads, each on its own stripe
+// over the same agents, so the waiters' small batches contend for the
+// reactors: driving passes between them and the reactor threads.
+TEST(ClientReactorTest, PartialRowWritesMatchAReferenceModel) {
+  auto agents = StartAgents(4);
+  constexpr uint64_t kUnit = KiB(16);
+  constexpr uint64_t kBytes = 8 * 3 * kUnit;  // eight rows
+  auto writer = [&agents](uint64_t seed, int* mismatches) {
+    std::vector<std::unique_ptr<UdpTransport>> transports;
+    std::vector<AgentTransport*> raw;
+    TransferPlan plan;
+    plan.object_name = "model" + std::to_string(seed);
+    plan.stripe.num_agents = 4;
+    plan.stripe.stripe_unit = kUnit;
+    plan.stripe.parity = ParityMode::kRotating;
+    for (uint32_t i = 0; i < 4; ++i) {
+      transports.push_back(
+          std::make_unique<UdpTransport>(agents[i]->server.port(), UdpTransport::Options{}));
+      raw.push_back(transports.back().get());
+      plan.agent_ids.push_back(i);
+    }
+    ObjectDirectory directory;
+    auto file = SwiftFile::Create(plan, raw, &directory, DistributionAgent::Options{});
+    if (!file.ok()) {
+      ++*mismatches;
+      return;
+    }
+    std::vector<uint8_t> model = Pattern(kBytes, seed);
+    if (!(*file)->PWrite(0, model).ok()) {
+      ++*mismatches;
+      return;
+    }
+    Rng rng(seed);
+    std::vector<uint8_t> out;
+    for (int i = 0; i < 150; ++i) {
+      // Mostly 4 KiB writes inside one unit, some spanning units and rows.
+      const uint64_t length =
+          i % 4 == 0 ? static_cast<uint64_t>(rng.UniformInt(1, 3 * kUnit)) : KiB(4);
+      const uint64_t offset = static_cast<uint64_t>(rng.UniformInt(0, kBytes - length));
+      const std::vector<uint8_t> bytes = Pattern(length, seed * 1000 + i);
+      if (!(*file)->PWrite(offset, bytes).ok()) {
+        ++*mismatches;
+        continue;
+      }
+      std::copy(bytes.begin(), bytes.end(), model.begin() + static_cast<ptrdiff_t>(offset));
+      const uint64_t at = static_cast<uint64_t>(rng.UniformInt(0, kBytes - KiB(4)));
+      out.assign(KiB(4), 0);
+      if (!(*file)->PRead(at, out).ok() ||
+          !std::equal(out.begin(), out.end(), model.begin() + static_cast<ptrdiff_t>(at))) {
+        ++*mismatches;
+      }
+    }
+    out.assign(kBytes, 0);
+    if (!(*file)->PRead(0, out).ok() || out != model) {
+      ++*mismatches;
+    }
+  };
+  int bad_a = 0;
+  int bad_b = 0;
+  std::thread ta(writer, 61, &bad_a);
+  std::thread tb(writer, 62, &bad_b);
+  ta.join();
+  tb.join();
+  EXPECT_EQ(bad_a, 0);
+  EXPECT_EQ(bad_b, 0);
 }
 
 }  // namespace

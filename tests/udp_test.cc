@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <set>
 #include <vector>
@@ -185,6 +186,38 @@ TEST(UdpEndToEndTest, DeadAgentSurfacesAsUnavailable) {
   EXPECT_EQ(transport.Read(opened->handle, 0, 100).code(), StatusCode::kUnavailable);
   EXPECT_EQ(transport.Write(opened->handle, 0, Pattern(10)).code(), StatusCode::kUnavailable);
   EXPECT_EQ(transport.Stat(opened->handle).code(), StatusCode::kUnavailable);
+}
+
+// Timeouts from a short RTT estimate spend the retry count in far less time
+// than the doubling table would, but the agent is declared unreachable only
+// once it has also been silent for the table's whole span, so a process
+// stall of a few hundred milliseconds does not pass for a dead agent.
+TEST(UdpEndToEndTest, DeadAgentIsDeclaredOnlyAfterTheSilenceSpan) {
+  auto agent = std::make_unique<AgentUnderTest>();
+  UdpTransport::Options options;
+  options.max_retries = 3;
+  options.initial_timeout_ms = 20;
+  options.max_timeout_ms = 80;
+  UdpTransport transport(agent->server.port(), options);
+  auto opened = transport.Open("obj", kOpenCreate);
+  ASSERT_TRUE(opened.ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(transport.Write(opened->handle, 0, Pattern(100)).ok());
+  }
+  double srtt_us = 0;
+  double rttvar_us = 0;
+  ASSERT_TRUE(transport.RttEstimate(&srtt_us, &rttvar_us));
+
+  agent->server.Stop();
+  const uint64_t retransmissions = transport.retransmissions();
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(transport.Read(opened->handle, 0, 100).code(), StatusCode::kUnavailable);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // 20 + 40 + 80 + 80 ms.
+  EXPECT_EQ(options.retry_policy().SilenceMs(), 220);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(220));
+  EXPECT_EQ(transport.retransmissions() - retransmissions,
+            static_cast<uint64_t>(options.max_retries));
 }
 
 TEST(UdpEndToEndTest, UnknownHandleRejectedByAgent) {
